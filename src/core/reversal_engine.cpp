@@ -1,6 +1,7 @@
 #include "core/reversal_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <random>
@@ -63,6 +64,66 @@ std::uint64_t senses_checksum(std::span<const EdgeSense> senses) {
     hash *= 1099511628211ULL;
   }
   return hash;
+}
+
+void SinkSet::reset(std::size_t n) {
+  words_.assign((n + 63) / 64, 0);
+  tree_.assign(words_.size() + 1, 0);
+  size_ = 0;
+}
+
+void SinkSet::adjust(std::size_t word, bool add) {
+  const std::uint32_t delta = add ? 1u : ~0u;  // -1 modulo 2^32
+  for (std::size_t i = word + 1; i < tree_.size(); i += i & (~i + 1)) tree_[i] += delta;
+}
+
+void SinkSet::insert(NodeId v) {
+  const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+  std::uint64_t& word = words_[v / 64];
+  if (word & bit) return;
+  word |= bit;
+  adjust(v / 64, true);
+  ++size_;
+}
+
+void SinkSet::erase(NodeId v) {
+  const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+  std::uint64_t& word = words_[v / 64];
+  if (!(word & bit)) return;
+  word &= ~bit;
+  adjust(v / 64, false);
+  --size_;
+}
+
+std::size_t SinkSet::rank(std::size_t v) const {
+  const std::size_t word = v / 64;
+  std::size_t count = 0;
+  for (std::size_t i = word; i > 0; i &= i - 1) count += tree_[i];  // words [0, word)
+  if (v % 64 != 0) {
+    count += std::popcount(words_[word] & ((std::uint64_t{1} << (v % 64)) - 1));
+  }
+  return count;
+}
+
+NodeId SinkSet::select(std::size_t k) const {
+  // Fenwick descent: find the last prefix of whole words holding at most k
+  // members; the answer is the (remaining k)-th set bit of the next word.
+  std::size_t word = 0;
+  for (std::size_t step = std::bit_floor(words_.size()); step != 0; step >>= 1) {
+    if (word + step < tree_.size() && tree_[word + step] <= k) {
+      word += step;
+      k -= tree_[word];
+    }
+  }
+  std::uint64_t bits = words_[word];
+  for (; k > 0; --k) bits &= bits - 1;  // drop the k lowest members
+  return static_cast<NodeId>(word * 64 + std::countr_zero(bits));
+}
+
+NodeId SinkSet::next_cyclic(std::size_t from) const {
+  if (size_ == 0) return kNoNode;
+  const std::size_t below = rank(from);
+  return select(below < size_ ? below : 0);
 }
 
 void ReversalEngine::attach(const CsrGraph& csr, NodeId destination) {
@@ -272,48 +333,40 @@ EngineResult ReversalEngine::run(EngineAlgorithm algorithm, EnginePolicy policy,
       }
       break;
     }
-    case EnginePolicy::kRandom: {
-      // Reproduces RandomScheduler exactly: an ascending sink list and a
-      // uniform index draw per step from the same mt19937_64 stream.
-      std::mt19937_64 rng(options.scheduler_seed);
-      const auto no_push = [](NodeId) {};
-      SerialOps ops{out_degree_.data(), list_size_.data(), no_push};
-      while (result.steps < options.max_steps) {
-        sink_list_.clear();
-        for (NodeId u = 0; u < n; ++u) {
-          if (u != destination_ && out_degree_[u] == 0) sink_list_.push_back(u);
-        }
-        if (sink_list_.empty()) {
-          result.quiescent = true;
-          break;
-        }
-        std::uniform_int_distribution<std::size_t> pick(0, sink_list_.size() - 1);
-        const NodeId u = sink_list_[pick(rng)];
-        account(u, fire(algorithm, u, ops));
-      }
-      break;
-    }
+    case EnginePolicy::kRandom:
     case EnginePolicy::kRoundRobin: {
-      // Reproduces RoundRobinScheduler's cursor rule over the flat
-      // out-degree array.
+      // Both policies choose from the order-statistic sink set.  A sink
+      // stays one until it fires, so the set changes only where a node's
+      // out-degree hits zero (the push) and where a fired node regains
+      // out-edges (the erase after fire).
+      sinks_.reset(n);
+      for (NodeId u = 0; u < n; ++u) {
+        if (u != destination_ && out_degree_[u] == 0) sinks_.insert(u);
+      }
+      const auto push = [this](NodeId v) {
+        if (v != destination_) sinks_.insert(v);
+      };
+      SerialOps ops{out_degree_.data(), list_size_.data(), push};
+      std::mt19937_64 rng(options.scheduler_seed);
       std::size_t cursor = 0;
-      const auto no_push = [](NodeId) {};
-      SerialOps ops{out_degree_.data(), list_size_.data(), no_push};
       while (result.steps < options.max_steps) {
-        NodeId u = kNoNode;
-        for (std::size_t i = 0; i < n; ++i) {
-          const NodeId candidate = static_cast<NodeId>((cursor + i) % n);
-          if (candidate != destination_ && out_degree_[candidate] == 0) {
-            u = candidate;
-            cursor = (candidate + 1) % n;
-            break;
-          }
-        }
-        if (u == kNoNode) {
+        if (sinks_.empty()) {
           result.quiescent = true;
           break;
         }
+        NodeId u = kNoNode;
+        if (policy == EnginePolicy::kRandom) {
+          // RandomScheduler: a uniform index into the ascending sink list,
+          // drawn from the same mt19937_64 stream.
+          std::uniform_int_distribution<std::size_t> pick(0, sinks_.size() - 1);
+          u = sinks_.select(pick(rng));
+        } else {
+          // RoundRobinScheduler: the first sink at or after the cursor.
+          u = sinks_.next_cyclic(cursor);
+          cursor = (u + 1) % n;
+        }
         account(u, fire(algorithm, u, ops));
+        if (out_degree_[u] != 0) sinks_.erase(u);
       }
       break;
     }

@@ -25,8 +25,10 @@
 ///
 ///  * flat per-edge sense bytes and per-node out-degree counters (the whole
 ///    mutable state of G'),
-///  * a maintained sink *worklist* — nodes are pushed exactly when their
-///    out-degree hits zero, so no step ever scans the graph for sinks,
+///  * maintained sink structures — nodes are pushed exactly when their
+///    out-degree hits zero, into a lazy heap (lowest-id, farthest-first) or
+///    an order-statistic `SinkSet` (random, round-robin), so no step ever
+///    scans the graph for sinks,
 ///  * batched per-node kernels that exploit the sink precondition (every
 ///    incident edge of a firing node points at it, so a "reversal set" is
 ///    just a slice of positions to flip),
@@ -56,8 +58,10 @@ enum class EngineAlgorithm : std::uint8_t {
 /// exact choice sequence of its scheduler counterpart.
 enum class EnginePolicy : std::uint8_t {
   kLowestId,       ///< always the smallest-id enabled sink (lazy min-heap)
-  kRandom,         ///< uniform over the ascending sink list (same RNG draws)
-  kRoundRobin,     ///< cursor scan over node ids (same cursor rule)
+  kRandom,         ///< uniform index into the ascending sink list (same RNG
+                   ///< draws), selected from the SinkSet without building it
+  kRoundRobin,     ///< first sink at or after the cursor, wrapping (same cursor
+                   ///< rule), via the SinkSet's cyclic successor
   kFarthestFirst,  ///< max (BFS distance to destination, id) (lazy max-heap)
 };
 
@@ -137,6 +141,48 @@ struct EngineRoundsOptions {
 /// a final orientation (from which any height assignment is derived).
 /// Benches use it to make legacy/CSR A/B runs self-verifying.
 std::uint64_t senses_checksum(std::span<const EdgeSense> senses);
+
+/// Order-statistic set of node ids in [0, n): the sink set behind the
+/// engine's random and round-robin policies.  A bitset holds membership and
+/// a Fenwick tree over the per-word popcounts answers rank and select, so
+/// the k-th smallest member and the cyclic successor of an id each cost
+/// O(log(n/64) + 64).  The legacy schedulers define their choices over the
+/// ascending sink list; `select(k)` is that list's k-th entry, so the
+/// engine reproduces them without ever materializing the list.
+class SinkSet {
+ public:
+  /// Empties the set and sizes it for ids in [0, n).
+  void reset(std::size_t n);
+
+  /// Adds `v`; a no-op if it is already a member.
+  void insert(NodeId v);
+
+  /// Removes `v`; a no-op if it is not a member.
+  void erase(NodeId v);
+
+  /// Number of members.
+  std::size_t size() const noexcept { return size_; }
+
+  /// True iff the set has no members.
+  bool empty() const noexcept { return size_ == 0; }
+
+  /// Number of members smaller than `v`, for any `v` in [0, n].
+  std::size_t rank(std::size_t v) const;
+
+  /// The k-th smallest member, counting from 0.  Precondition: k < size().
+  NodeId select(std::size_t k) const;
+
+  /// The smallest member at or after `from` (in [0, n)), wrapping around to
+  /// the smallest member overall; kNoNode when the set is empty.
+  NodeId next_cyclic(std::size_t from) const;
+
+ private:
+  void adjust(std::size_t word, bool add);  // Fenwick point update, +1 or -1
+
+  std::vector<std::uint64_t> words_;  // membership bits, 64 ids per word
+  std::vector<std::uint32_t> tree_;   // 1-based Fenwick tree over word popcounts
+  std::size_t size_ = 0;
+};
 
 /// Batched link-reversal executor over a `CsrGraph` snapshot.
 ///
@@ -242,7 +288,7 @@ class ReversalEngine {
   std::vector<NodeId> heap_;            // lowest-id lazy min-heap
   std::vector<std::uint64_t> key_heap_; // farthest-first lazy max-heap
   std::vector<std::uint8_t> queued_;    // one live heap entry per node
-  std::vector<NodeId> sink_list_;       // random policy: ascending sinks
+  SinkSet sinks_;                       // random / round-robin: current sinks
   std::vector<NodeId> round_current_;   // greedy rounds: this round's set
   std::vector<NodeId> round_next_;      // greedy rounds: next round's set
   std::vector<std::vector<NodeId>> shard_next_;   // per-shard next-round buffers

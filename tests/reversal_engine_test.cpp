@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <random>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -72,27 +74,27 @@ std::vector<Instance> equivalence_instances() {
 /// returns its final edge senses (the engine must reproduce them exactly).
 template <typename A>
 std::vector<EdgeSense> legacy_final_senses(const Instance& instance, SchedulerKind kind,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed, const RunOptions& options) {
   A automaton(instance);
   switch (kind) {
     case SchedulerKind::kLowestId: {
       LowestIdScheduler s;
-      run_to_quiescence(automaton, s);
+      run_to_quiescence(automaton, s, options);
       break;
     }
     case SchedulerKind::kRandom: {
       RandomScheduler s(seed);
-      run_to_quiescence(automaton, s);
+      run_to_quiescence(automaton, s, options);
       break;
     }
     case SchedulerKind::kRoundRobin: {
       RoundRobinScheduler s;
-      run_to_quiescence(automaton, s);
+      run_to_quiescence(automaton, s, options);
       break;
     }
     case SchedulerKind::kFarthestFirst: {
       FarthestFirstScheduler s;
-      run_to_quiescence(automaton, s);
+      run_to_quiescence(automaton, s, options);
       break;
     }
   }
@@ -100,43 +102,158 @@ std::vector<EdgeSense> legacy_final_senses(const Instance& instance, SchedulerKi
 }
 
 std::vector<EdgeSense> legacy_final_senses(const Instance& instance, Strategy strategy,
-                                           SchedulerKind kind, std::uint64_t seed) {
+                                           SchedulerKind kind, std::uint64_t seed,
+                                           const RunOptions& options) {
   switch (strategy) {
     case Strategy::kFullReversal:
-      return legacy_final_senses<FullReversalAutomaton>(instance, kind, seed);
+      return legacy_final_senses<FullReversalAutomaton>(instance, kind, seed, options);
     case Strategy::kPartialReversal:
-      return legacy_final_senses<OneStepPRAutomaton>(instance, kind, seed);
+      return legacy_final_senses<OneStepPRAutomaton>(instance, kind, seed, options);
     case Strategy::kNewPR:
-      return legacy_final_senses<NewPRAutomaton>(instance, kind, seed);
+      return legacy_final_senses<NewPRAutomaton>(instance, kind, seed, options);
   }
   return {};
 }
 
+/// Runs `engine` and the legacy automaton + scheduler on `instance` with
+/// the same seed and step budget, and expects identical counts, per-node
+/// costs and final orientations.
+void expect_engine_matches_legacy(ReversalEngine& engine, const Instance& instance,
+                                  Strategy strategy, const NamedPolicy& pair,
+                                  std::uint64_t seed, const RunOptions& options = {}) {
+  const CostProfile profile = measure_cost(instance, strategy, pair.scheduler, seed, options);
+  const EngineResult result = engine.run(engine_algorithm(strategy), pair.policy,
+                                         {.max_steps = options.max_steps,
+                                          .scheduler_seed = seed,
+                                          .record_node_costs = true});
+  const std::string context = std::string(instance.name) + " " + strategy_name(strategy) +
+                              " " + scheduler_name(pair.scheduler);
+  EXPECT_EQ(result.steps, profile.social_cost) << context;
+  EXPECT_EQ(result.edge_reversals, profile.edge_reversals) << context;
+  EXPECT_EQ(result.dummy_steps, profile.dummy_steps) << context;
+  EXPECT_EQ(result.quiescent && result.destination_oriented, profile.converged) << context;
+  EXPECT_EQ(result.node_cost, profile.node_cost) << context;
+
+  const std::vector<EdgeSense> expected =
+      legacy_final_senses(instance, strategy, pair.scheduler, seed, options);
+  EXPECT_TRUE(std::equal(engine.senses().begin(), engine.senses().end(), expected.begin(),
+                         expected.end()))
+      << context << ": final orientations differ";
+  EXPECT_EQ(engine.state_checksum(), senses_checksum(expected)) << context;
+}
+
 TEST(ReversalEngineTest, MatchesLegacyPathAcrossAlgorithmsAndPolicies) {
-  const std::uint64_t seed = 12345;
   for (const Instance& instance : equivalence_instances()) {
     ReversalEngine engine(instance);
     for (const Strategy strategy : kStrategies) {
       for (const NamedPolicy& pair : kPolicies) {
-        const CostProfile profile = measure_cost(instance, strategy, pair.scheduler, seed);
-        const EngineResult result =
-            engine.run(engine_algorithm(strategy), pair.policy,
-                       {.scheduler_seed = seed, .record_node_costs = true});
-        const std::string context = std::string(instance.name) + " " + strategy_name(strategy) +
-                                    " " + scheduler_name(pair.scheduler);
-        EXPECT_EQ(result.steps, profile.social_cost) << context;
-        EXPECT_EQ(result.edge_reversals, profile.edge_reversals) << context;
-        EXPECT_EQ(result.dummy_steps, profile.dummy_steps) << context;
-        EXPECT_EQ(result.quiescent && result.destination_oriented, profile.converged) << context;
-        EXPECT_EQ(result.node_cost, profile.node_cost) << context;
-
-        const std::vector<EdgeSense> expected =
-            legacy_final_senses(instance, strategy, pair.scheduler, seed);
-        EXPECT_TRUE(std::equal(engine.senses().begin(), engine.senses().end(),
-                               expected.begin(), expected.end()))
-            << context << ": final orientations differ";
-        EXPECT_EQ(engine.state_checksum(), senses_checksum(expected)) << context;
+        expect_engine_matches_legacy(engine, instance, strategy, pair, 12345);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The order-statistic sink set and multi-word instances
+// ---------------------------------------------------------------------------
+
+TEST(ReversalEngineTest, SinkSetMatchesOrderedSetOracle) {
+  std::mt19937_64 rng(2024);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 1000u, 4097u}) {
+    SinkSet sinks;
+    sinks.reset(n);
+    std::set<NodeId> oracle;
+    std::uniform_int_distribution<NodeId> any_id(0, static_cast<NodeId>(n - 1));
+    for (std::size_t op = 0; op < 8 * n + 64; ++op) {
+      const NodeId v = any_id(rng);
+      // Bias towards inserts early and erases late, so the set sweeps
+      // through sparse, dense and near-empty states.
+      if (rng() % (8 * n + 64) >= op) {
+        sinks.insert(v);
+        oracle.insert(v);
+      } else {
+        sinks.erase(v);
+        oracle.erase(v);
+      }
+      const std::string context = "n=" + std::to_string(n) + " op=" + std::to_string(op);
+      ASSERT_EQ(sinks.size(), oracle.size()) << context;
+      ASSERT_EQ(sinks.empty(), oracle.empty()) << context;
+      ASSERT_EQ(sinks.rank(v + 1) - sinks.rank(v), oracle.count(v)) << context;
+      const NodeId probe = any_id(rng);
+      ASSERT_EQ(sinks.rank(probe),
+                static_cast<std::size_t>(std::distance(oracle.begin(), oracle.lower_bound(probe))))
+          << context;
+      const auto at_or_after = oracle.lower_bound(probe);
+      const NodeId successor = oracle.empty()                ? kNoNode
+                               : at_or_after != oracle.end() ? *at_or_after
+                                                             : *oracle.begin();
+      ASSERT_EQ(sinks.next_cyclic(probe), successor) << context;
+      if (!oracle.empty()) {
+        const std::size_t k = rng() % oracle.size();
+        ASSERT_EQ(sinks.select(k), *std::next(oracle.begin(), static_cast<std::ptrdiff_t>(k)))
+            << context;
+      }
+    }
+    ASSERT_EQ(sinks.rank(n), oracle.size());
+    std::size_t k = 0;
+    for (const NodeId v : oracle) ASSERT_EQ(sinks.select(k++), v) << "n=" << n;
+    sinks.reset(n);
+    EXPECT_TRUE(sinks.empty());
+    EXPECT_EQ(sinks.next_cyclic(0), kNoNode);
+  }
+}
+
+/// A chain over every node but `isolated`, oriented away from the
+/// destination 0; `isolated` is a vacuous sink forever, so no run can
+/// quiesce and every policy keeps re-choosing it until the budget ends.
+Instance chain_with_isolated_node(std::size_t n, NodeId isolated) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  NodeId previous = 0;
+  for (NodeId v = 1; v < n; ++v) {
+    if (v == isolated) continue;
+    edges.emplace_back(previous, v);
+    previous = v;
+  }
+  Instance instance;
+  instance.senses.assign(edges.size(), EdgeSense::kForward);
+  instance.graph = Graph(n, std::move(edges));
+  instance.destination = 0;
+  instance.name = "chain_with_isolated(n=" + std::to_string(n) + ")";
+  return instance;
+}
+
+TEST(ReversalEngineTest, MultiWordInstancesMatchLegacyRandomAndRoundRobin) {
+  // The instances above fit in one 64-bit word of the sink set; these span
+  // 5 to 9 words, so every select and successor query walks the Fenwick
+  // tree across words.
+  const NamedPolicy set_policies[] = {kPolicies[1], kPolicies[2]};
+  ASSERT_EQ(set_policies[0].policy, EnginePolicy::kRandom);
+  ASSERT_EQ(set_policies[1].policy, EnginePolicy::kRoundRobin);
+  std::mt19937_64 rng(7);
+  std::vector<Instance> instances;
+  instances.push_back(make_worst_case_chain(300));
+  instances.push_back(make_random_instance(500, 250, rng));
+  instances.push_back(make_unit_disk_instance(400, 0.12, rng));
+  Instance high_destination = make_random_instance(450, 200, rng);
+  high_destination.destination = 300;  // word 4 of the sink set
+  high_destination.name += " D=300";
+  instances.push_back(std::move(high_destination));
+  for (const Instance& instance : instances) {
+    ReversalEngine engine(instance);
+    for (const Strategy strategy : kStrategies) {
+      for (const NamedPolicy& pair : set_policies) {
+        expect_engine_matches_legacy(engine, instance, strategy, pair, 31);
+      }
+    }
+  }
+
+  // An isolated node in word 7 stays in the set after every vacuous fire;
+  // under a step budget both paths must burn it identically.
+  const Instance isolated = chain_with_isolated_node(520, 470);
+  ReversalEngine engine(isolated);
+  for (const Strategy strategy : kStrategies) {
+    for (const NamedPolicy& pair : set_policies) {
+      expect_engine_matches_legacy(engine, isolated, strategy, pair, 31, {.max_steps = 6000});
     }
   }
 }

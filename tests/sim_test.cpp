@@ -23,20 +23,32 @@
 namespace {
 std::atomic<std::uint64_t> g_heap_allocations{0};
 
-void* counted_alloc(std::size_t size) {
+void* counted_alloc_or_null(std::size_t size) noexcept {
   ++g_heap_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  return std::malloc(size ? size : 1);
+}
+
+void* counted_aligned_alloc_or_null(std::size_t size, std::size_t alignment) noexcept {
+  ++g_heap_allocations;
+  void* p = nullptr;
+  return posix_memalign(&p, alignment, size ? size : alignment) == 0 ? p : nullptr;
+}
+
+void* counted_alloc(std::size_t size) {
+  if (void* p = counted_alloc_or_null(size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
-  ++g_heap_allocations;
-  void* p = nullptr;
-  if (posix_memalign(&p, alignment, size ? size : alignment) != 0) throw std::bad_alloc();
-  return p;
+  if (void* p = counted_aligned_alloc_or_null(size, alignment)) return p;
+  throw std::bad_alloc();
 }
 }  // namespace
 
+// Every allocating form is replaced, the nothrow ones included: the
+// library allocates temporary buffers (std::stable_sort's, for one) with
+// nothrow new and frees them with the matching delete, which must reach
+// the same malloc/free pair as the rest.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -44,6 +56,18 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc_or_null(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc_or_null(size, static_cast<std::size_t>(align));
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -53,6 +77,12 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace lr {
 namespace {
