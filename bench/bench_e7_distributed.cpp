@@ -25,19 +25,19 @@
 /// delivered-messages/sec figures are trusted.
 ///
 /// E7.8 is the process-shard A/B: the same sweep executed by the
-/// in-process ScenarioRunner and by the multi-process ProcessShardRunner
-/// at 2 and 4 worker processes (runner/process_runner.hpp).  The full
+/// in-process ScenarioRunner and by ShardRunner's local endpoint at 2
+/// and 4 worker processes (runner/shard_coordinator.hpp).  The full
 /// record + aggregate CSV of every deployment must hash to the
 /// single-process fingerprint — the merge contract is byte-identity, not
 /// statistical agreement — before the sweep-runs/sec scaling figures are
-/// trusted.  This harness is its own sweep worker (main() forwards a
-/// `sweep-worker` argv to sweep_worker_main), so the A/B runs even in
+/// trusted.  This harness is its own shard worker (main() forwards a
+/// `shard-server` argv to shard_server_main), so the A/B runs even in
 /// builds without lr_cli.
 ///
 /// E7.9 is the multi-host A/B: the same sweep served by loopback-TCP
 /// `shard-server` endpoints (runner/shard_server.hpp, embedded in this
-/// process so the harness stays self-contained) through the
-/// MultiHostShardRunner at 2 hosts x 1 and 2 hosts x 2 workers.  Table
+/// process so the harness stays self-contained) through ShardRunner at
+/// 2 hosts x 1 and 2 hosts x 2 workers.  Table
 /// fingerprints must match the in-process baseline exactly; the
 /// sweeps/sec column is the loopback-TCP counterpart of E7.8's fork/exec
 /// figures (docs/PERFORMANCE.md compares the two dataplane overheads).
@@ -49,7 +49,6 @@
 
 #include "graph/generators.hpp"
 #include "routing/tora.hpp"
-#include "runner/process_runner.hpp"
 #include "runner/runner.hpp"
 #include "runner/shard_coordinator.hpp"
 #include "runner/shard_server.hpp"
@@ -393,7 +392,7 @@ bool print_process_shard_series(bool smoke) {
     add_row("in-process t=1", fingerprint, ns, runs);
   }
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-    ProcessShardRunner runner({.threads = 1, .process_workers = workers});
+    ShardRunner runner({.threads = 1, .process_workers = workers});
     std::uint64_t fingerprint = 0;
     const double ns = bench::measure_ns_per_iter(
         [&] { fingerprint = fingerprint_of(runner.run(sweep)); }, smoke ? 1 : 3,
@@ -463,7 +462,7 @@ bool print_multi_host_series(bool smoke) {
     std::uint64_t fingerprint = 0;
     const double ns = bench::measure_ns_per_iter(
         [&] {
-          MultiHostShardRunner runner({.threads = 1}, hosts);
+          ShardRunner runner({.threads = 1}, hosts);
           fingerprint = fingerprint_of(runner.run(sweep));
         },
         smoke ? 1 : 3, smoke ? 0.0 : 200.0);
@@ -498,10 +497,10 @@ BENCHMARK(BM_ChurnScenario)->Arg(32)->Arg(128);
 }  // namespace lr
 
 int main(int argc, char** argv) {
-  // Self-hosting sweep worker for the E7.8 process-shard A/B: the
-  // ProcessShardRunner fork/execs this very binary (/proc/self/exe).
-  if (argc > 1 && std::string(argv[1]) == "sweep-worker") {
-    return lr::sweep_worker_main(argc, argv);
+  // Self-hosting shard worker for the E7.8 process-shard A/B: the local
+  // endpoint fork/execs this very binary (/proc/self/exe).
+  if (argc > 1 && std::string(argv[1]) == "shard-server") {
+    return lr::shard_server_main(argc, argv);
   }
   const bool smoke = lr::bench::consume_smoke_flag(argc, argv);
   lr::print_size_sweep(smoke);

@@ -24,11 +24,13 @@
 ///       on a fixed-size thread pool.  Prints the aggregate table as CSV on
 ///       stdout — byte-identical for every --threads and --cache-cap value
 ///       (the cap LRU-bounds the sweep's frozen-instance cache; 0 =
-///       unbounded, the default).  --processes N shards the sweep across N
-///       shared-nothing `sweep-worker` child processes with crash-isolated
-///       retries (--retries, default 2); tables stay byte-identical to the
-///       in-process run at every worker count.  With --processes, --threads
-///       sets each worker's internal thread count (default 1).
+///       unbounded, the default).  --processes N shards the sweep across
+///       up to N concurrent shared-nothing worker processes — each shard
+///       attempt a fresh `lr_cli shard-server --stdio` child reached over
+///       a socketpair — with crash-isolated retries (--retries, default
+///       2); tables stay byte-identical to the in-process run at every
+///       worker count.  With --processes or --hosts, --threads sets each
+///       worker's internal thread count (default 1).
 ///       --snapshot-dir DIR persists each generated workload as an
 ///       mmap-reloadable snapshot file in DIR (created if absent) and
 ///       reloads it on later sweeps — and, with --processes, in every
@@ -36,15 +38,15 @@
 ///       a performance switch: tables are byte-identical with and without
 ///       it.
 ///       --hosts shards the sweep across remote `lr_cli shard-server`
-///       daemons over TCP instead of local child processes (entries are
-///       host:port with an optional *W concurrent-connection count, W
-///       default 1).  Heartbeats in both directions bound every partial
-///       failure; dead hosts have their unfinished shards reassigned to
-///       the survivors, and --processes N arms a local N-worker fallback
-///       engaged only if every host dies.  Tables stay byte-identical to
-///       the in-process run at every host and worker count.  --hosts
-///       composes with --retries/--threads/--cache-cap but not with
-///       --snapshot-dir (remote hosts do not share this filesystem).
+///       daemons over TCP (entries are host:port with an optional *W
+///       concurrent-connection count, W default 1).  Heartbeats in both
+///       directions bound every partial failure; dead hosts have their
+///       unfinished shards reassigned to the survivors.  With --processes
+///       N as well, the N local workers always take shards alongside the
+///       hosts.  Tables stay byte-identical to the in-process run at every
+///       host and worker count.  --hosts composes with --retries/--threads/
+///       --cache-cap but not with --snapshot-dir (remote hosts do not
+///       share this filesystem).
 ///       --shard-log PATH writes a per-attempt CSV log (shard, attempt,
 ///       endpoint, outcome, elapsed_ms, backoff_ms) after a sharded
 ///       sweep; `-` logs to stderr.  Requires --processes or --hosts.
@@ -53,6 +55,11 @@
 ///       The worker daemon of `sweep --hosts`: serves shard-protocol v3
 ///       connections (one shard per connection) until SIGINT/SIGTERM.
 ///       Prints "shard-server listening on <address>:<port>" when ready.
+///
+///   lr_cli shard-server --stdio [--snapshot-dir DIR]
+///       The same shard session, served once over the socket on fd 0;
+///       `sweep --processes N` spawns its workers this way.  Exits 2 when
+///       fd 0 is not a socket.
 ///
 ///   lr_cli snapshot save <topology> <size> <seed> <out.lrsnap>
 ///   lr_cli snapshot info <in.lrsnap>
@@ -70,12 +77,8 @@
 ///       stdout.  stdout is byte-identical at every --threads value and
 ///       under both --scheduler backends (the determinism contract);
 ///       wall-clock throughput goes to stderr.
-///
-///   lr_cli sweep-worker ... (internal)
-///       Child-process entry point spawned by `sweep --processes N`; reads
-///       the spec on stdin and emits binary shard frames on stdout.  Not
-///       for direct invocation.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -95,7 +98,6 @@
 #include "graph/generators.hpp"
 #include "graph/serialize.hpp"
 #include "graph/snapshot.hpp"
-#include "runner/process_runner.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard_coordinator.hpp"
@@ -124,13 +126,16 @@ int usage() {
                "      --snapshot-dir persists workloads as mmap snapshot files and\n"
                "      reloads them on later sweeps and in every worker process\n"
                "      --hosts shards across remote `lr_cli shard-server` daemons over\n"
-               "      TCP (dead hosts are reassigned; with --processes N a local\n"
-               "      N-worker fallback engages if every host dies); not combinable\n"
-               "      with --snapshot-dir\n"
+               "      TCP (dead hosts are reassigned; with --processes N the N local\n"
+               "      workers always take shards too); not combinable with\n"
+               "      --snapshot-dir\n"
                "      --shard-log writes a per-attempt CSV log (requires --processes\n"
                "      or --hosts); `-` logs to stderr\n"
                "  lr_cli shard-server --listen <port> [--bind <address>]\n"
                "      serves sweep shards to a remote `sweep --hosts` coordinator\n"
+               "  lr_cli shard-server --stdio [--snapshot-dir DIR]\n"
+               "      serves one shard over the socket on fd 0 (how `sweep\n"
+               "      --processes` runs its workers)\n"
                "  lr_cli snapshot save <topology> <size> <seed> <out.lrsnap>\n"
                "  lr_cli snapshot info <in.lrsnap>\n"
                "  lr_cli serve <chain|random|grid|layered|star|unitdisk|torus|"
@@ -360,16 +365,22 @@ int cmd_sweep(int argc, char** argv) {
   std::string deployment;
   std::vector<ShardDiagnostics> shard_diagnostics;
   const auto started = std::chrono::steady_clock::now();
-  if (!hosts.empty()) {
-    // Multi-host backend: shards go to remote `lr_cli shard-server`
-    // daemons over TCP.  --threads is per remote worker lane and
-    // defaults to 1, same reasoning as --processes.  --processes N here
-    // means "N-local-worker fallback if every host dies".
+  if (!hosts.empty() || options.process_workers > 0) {
+    // Sharded backend: remote hosts plus, with --processes, one local
+    // endpoint.  Each worker is shared-nothing, so --threads is per
+    // worker and defaults to 1 (not hardware concurrency, which would
+    // oversubscribe the host N-fold).
     if (!threads_given) options.threads = 1;
-    MultiHostShardRunner runner(options, hosts);
-    if (runner.total_workers() > spec.run_count()) {
-      std::fprintf(stderr, "note: %zu remote worker(s) clamped to %zu (one shard per run)\n",
-                   runner.total_workers(), spec.run_count());
+    ShardRunner runner(options, hosts);
+    const std::size_t workers = std::min(runner.total_workers(), spec.run_count());
+    if (workers < runner.total_workers()) {
+      if (hosts.empty()) {
+        std::fprintf(stderr, "note: --processes %zu clamped to %zu (one shard per run)\n",
+                     options.process_workers, workers);
+      } else {
+        std::fprintf(stderr, "note: %zu worker(s) clamped to %zu (one shard per run)\n",
+                     runner.total_workers(), workers);
+      }
     }
     report = runner.run(spec);
     shard_diagnostics = runner.shard_diagnostics();
@@ -380,33 +391,16 @@ int cmd_sweep(int argc, char** argv) {
         std::fprintf(stderr, "shard %zu retry: %s\n", diag.shard, failure.c_str());
       }
     }
-    deployment = std::to_string(hosts.size()) + " host(s) x " +
-                 std::to_string(runner.total_workers()) + " worker(s) x " +
-                 std::to_string(options.threads) + " thread(s), " + std::to_string(retries) +
-                 " shard retry(ies)";
-    if (runner.fallback_engaged()) deployment += ", local fallback engaged";
-  } else if (options.process_workers > 0) {
-    // Multi-process backend: each worker is shared-nothing, so --threads
-    // is per worker and defaults to 1 (not hardware concurrency, which
-    // would oversubscribe the host N-fold).
-    if (!threads_given) options.threads = 1;
-    ProcessShardRunner runner(options);
-    const std::size_t workers = runner.resolved_workers(spec.run_count());
-    if (workers < options.process_workers) {
-      std::fprintf(stderr, "note: --processes %zu clamped to %zu (one shard per run)\n",
-                   options.process_workers, workers);
+    if (!hosts.empty()) {
+      deployment = std::to_string(hosts.size()) + " host(s) x " +
+                   std::to_string(runner.total_workers() - options.process_workers) +
+                   " worker(s)" + (options.process_workers > 0 ? " + " : "");
     }
-    report = runner.run(spec);
-    shard_diagnostics = runner.shard_diagnostics();
-    std::size_t retries = 0;
-    for (const ShardDiagnostics& diag : shard_diagnostics) {
-      retries += diag.failures.size();
-      for (const std::string& failure : diag.failures) {
-        std::fprintf(stderr, "shard %zu retry: %s\n", diag.shard, failure.c_str());
-      }
+    if (options.process_workers > 0) {
+      deployment += std::to_string(options.process_workers) + " process(es)";
     }
-    deployment = std::to_string(workers) + " process(es) x " + std::to_string(options.threads) +
-                 " thread(s), " + std::to_string(retries) + " worker retry(ies)";
+    deployment += " x " + std::to_string(options.threads) + " thread(s), " +
+                  std::to_string(retries) + " shard retry(ies)";
   } else {
     const ScenarioRunner runner(options);
     report = runner.run(spec);
@@ -612,14 +606,10 @@ int cmd_serve(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  // The internal worker entry point dispatches before anything touches
-  // stdout: its stdout is a binary frame pipe, not a terminal surface.
-  // (sweep_worker_main itself rejects invocations that did not come from
-  // a ProcessShardRunner parent, with a readable explanation.)
-  if (command == "sweep-worker") return lr::sweep_worker_main(argc, argv);
-  // The shard-server daemon owns its own argv/signal handling and ready
-  // line; it dispatches outside the generic catch so its exit codes (2 on
-  // usage errors, per its own convention) stay under its control.
+  // The shard-server worker owns its own argv/signal handling, ready line
+  // and (in --stdio mode) fd 0; it dispatches outside the generic catch so
+  // its exit codes (2 on usage errors, per its own convention) stay under
+  // its control.
   if (command == "shard-server") return lr::shard_server_main(argc, argv);
   try {
     if (command == "gen") return cmd_gen(argc, argv);

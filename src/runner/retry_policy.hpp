@@ -5,8 +5,8 @@
 #include <cstdint>
 
 /// \file retry_policy.hpp
-/// The retry/backoff policy shared by every shard dataplane backend
-/// (runner/process_runner.hpp, runner/shard_coordinator.hpp): how many
+/// The retry/backoff policy of the shard dataplane
+/// (runner/shard_coordinator.hpp): how many
 /// attempts a failing shard gets, and how long the coordinator waits
 /// before each re-dispatch.
 ///

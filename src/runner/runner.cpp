@@ -512,16 +512,16 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
   record.spec = spec;
   record.run_seed = spec.instance_seed();
   try {
-    // The CSR path draws the frozen workload from the sweep cache; the
-    // legacy path regenerates per run (the historical cost model the A/B
-    // harness compares against).  Generation is deterministic in the axis
+    // Both paths draw the frozen workload from the sweep cache when one is
+    // given; without one the run regenerates it (the per-run cost model
+    // the A/B harness times).  Generation is deterministic in the axis
     // values, so the two sources yield byte-identical instances.
     std::shared_ptr<const FrozenInstance> shared;
     Instance local;
     const Instance* instance = nullptr;
     const CsrGraph* frozen = nullptr;
     const std::vector<LinkEvent>* churn = nullptr;
-    if (cache != nullptr && spec.path == ExecutionPath::kCsr) {
+    if (cache != nullptr) {
       shared = cache->get(spec);
       instance = &shared->instance;
       frozen = &shared->csr;

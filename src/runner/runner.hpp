@@ -201,10 +201,11 @@ class WorkerPoolCache {
 /// cannot take down a sweep.  This is the shared single-run code path.
 RunRecord execute_run(const RunSpec& spec);
 
-/// Same, drawing the workload from `cache` when the spec runs on the CSR
-/// path (the legacy path regenerates per run, preserving the historical
-/// cost model the A/B harness compares against).  `cache` may be null.
-/// Records are byte-identical with and without a cache.
+/// Same, drawing the workload from `cache` on either execution path
+/// (`path` only picks the fr/pr/newpr back-end).  `cache` may be null:
+/// the run then regenerates its workload, the per-run cost model the
+/// bench A/B harness times.  Records are byte-identical with and
+/// without a cache.
 RunRecord execute_run(const RunSpec& spec, SweepCache* cache);
 
 /// Same, additionally borrowing sharded-kernel pools from `pools` (may be
@@ -256,23 +257,24 @@ struct RunnerOptions {
   /// Purely a memory knob: records are byte-identical at every value.
   std::size_t cache_max_entries = 0;
 
-  /// Worker *processes* of the multi-process sweep backend
-  /// (runner/process_runner.hpp): 0 = in-process execution on this
-  /// runner's thread pool (the default), N >= 1 = shard the expanded run
-  /// list across N shared-nothing `sweep-worker` child processes (clamped
-  /// to the run count).  Like `threads`, a pure deployment knob: the
-  /// merged tables are byte-identical at every value by construction.
+  /// Worker *processes* of the sharded sweep backend (ShardRunner,
+  /// runner/shard_coordinator.hpp): 0 = in-process execution on this
+  /// runner's thread pool (the default), N >= 1 = one local endpoint
+  /// running up to N shared-nothing `shard-server --stdio` child
+  /// processes at once (shards clamped to the run count).  Like
+  /// `threads`, a pure deployment knob: the merged tables are
+  /// byte-identical at every value by construction.
   std::size_t process_workers = 0;
 
   /// How many times a crashed / stalled / protocol-violating worker's
-  /// shard is retried in a fresh process before the whole sweep fails
-  /// loudly (process_workers > 0 only).  Total attempts per shard is
+  /// shard is retried in a fresh attempt before the whole sweep fails
+  /// loudly (sharded sweeps only).  Total attempts per shard is
   /// 1 + worker_retries.
   std::size_t worker_retries = 2;
 
-  /// Inactivity watchdog per worker process in milliseconds: a worker
+  /// Inactivity watchdog per shard attempt in milliseconds: a worker
   /// that emits no frame for this long is presumed wedged, killed, and
-  /// retried (process_workers > 0 only).  The LR_TEST_WORKER_TIMEOUT_MS
+  /// retried (sharded sweeps only).  The LR_TEST_WORKER_TIMEOUT_MS
   /// environment variable overrides it (test hook for the stall-fault
   /// battery).
   int worker_timeout_ms = 30'000;
@@ -280,9 +282,9 @@ struct RunnerOptions {
   /// Directory of mmap-backed instance snapshot files shared by the
   /// sweep's caches (see SweepCache's snapshot_dir constructor); empty =
   /// disabled.  With process_workers > 0 the directory is forwarded to
-  /// every `sweep-worker` child, so all shards mmap the same files and
-  /// the kernel shares one physical copy of each workload's pages across
-  /// the whole worker fleet.  Purely a performance knob: tables are
+  /// every `shard-server --stdio` child, so all shards mmap the same
+  /// files and the kernel shares one physical copy of each workload's
+  /// pages across the whole worker fleet.  Purely a performance knob: tables are
   /// byte-identical with and without it.
   std::string snapshot_dir;
 };

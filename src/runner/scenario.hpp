@@ -65,22 +65,20 @@ enum class AlgorithmKind : std::uint8_t {
 
 /// Which execution back-end a run uses.
 ///
-/// For the fr/pr/newpr kernels the CSR path batches the whole execution
-/// through core/reversal_engine.hpp while the legacy path drives the
-/// paper-shaped automata; for the tora and dist-* kernels the CSR path
-/// additionally consumes the sweep's cached frozen Instance + CsrGraph
-/// snapshot (runner.hpp, SweepCache) while the legacy path regenerates and
-/// re-freezes per run.  In every case both paths execute the identical
-/// action sequence and fill identical records
+/// The switch only matters to the fr/pr/newpr kernels: the CSR path
+/// batches the whole execution through core/reversal_engine.hpp while
+/// the legacy path drives the paper-shaped automata.  Every other kernel
+/// runs identically on both paths, and both draw their workload from the
+/// sweep's cached frozen Instance + CsrGraph snapshot (runner.hpp,
+/// SweepCache) whenever a cache is given.  Both back-ends execute the
+/// identical action sequence and fill identical records
 /// (tests/reversal_engine_test.cpp, tests/runner_test.cpp), so this is a
-/// performance switch, not a semantics switch: record and aggregate tables
-/// are byte-identical across paths by design, which is what makes the
-/// bench_e2/e5/e7 A/B comparisons meaningful.  The remaining kernels
-/// (hybrid, sim-*) have no batched implementation; for them the switch
-/// only selects the instance source, which is itself deterministic.
+/// performance switch, not a semantics switch: record and aggregate
+/// tables are byte-identical across paths by design, which is what makes
+/// the bench_e2 A/B comparison meaningful.
 enum class ExecutionPath : std::uint8_t {
   kCsr,     ///< batched CSR kernels + cached frozen snapshots — default
-  kLegacy,  ///< paper-shaped automata; per-run instance regeneration
+  kLegacy,  ///< paper-shaped automata for fr/pr/newpr
 };
 
 /// Spec-file token of an execution path ("csr", "legacy").
@@ -276,9 +274,9 @@ struct SweepSpec {
 /// Canonical text form of a sweep spec: one `key = values` line per axis
 /// plus every scalar option, in a fixed order.  The round-trip contract
 /// `SweepSpec::parse_string(format_sweep_spec(s)).expand() == s.expand()`
-/// is what lets the multi-process sweep backend ship a spec to its worker
-/// processes as text (runner/process_runner.hpp) without the parent and
-/// the workers ever disagreeing about what run #k means.
+/// is what lets the sharded sweep backend ship a spec to its workers as
+/// text (runner/shard_coordinator.hpp) without the coordinator and the
+/// workers ever disagreeing about what run #k means.
 std::string format_sweep_spec(const SweepSpec& spec);
 
 }  // namespace lr

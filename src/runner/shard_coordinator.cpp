@@ -67,11 +67,8 @@ long long elapsed_ms_since(Clock::time_point start) {
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
-                                   std::vector<std::shared_ptr<ShardTransport>> transports,
-                                   std::shared_ptr<ShardTransport> fallback)
-    : options_(std::move(options)),
-      transports_(std::move(transports)),
-      fallback_(std::move(fallback)) {
+                                   std::vector<std::shared_ptr<ShardTransport>> transports)
+    : options_(std::move(options)), transports_(std::move(transports)) {
   if (transports_.empty()) {
     throw std::invalid_argument("ShardCoordinator: at least one transport is required");
   }
@@ -92,7 +89,6 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   const std::vector<RunSpec> runs = spec.expand();
   const std::size_t total = runs.size();
   diagnostics_.clear();
-  fallback_engaged_ = false;
   SweepReport report;
   report.records.resize(total);
   if (total == 0) return report;
@@ -115,7 +111,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   const std::size_t max_attempts = std::max<std::size_t>(1, options_.retry.max_attempts);
 
   std::vector<Endpoint> endpoints;
-  endpoints.reserve(transports_.size() + 1);
+  endpoints.reserve(transports_.size());
   for (const auto& transport : transports_) endpoints.push_back({transport});
 
   const SigpipeGuard sigpipe_guard;
@@ -228,13 +224,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   while (!exhausted && !nowhere_to_run && completed < shards) {
     const bool all_dead =
         std::all_of(endpoints.begin(), endpoints.end(), [](const Endpoint& e) { return e.dead; });
-    if (all_dead && fallback_ != nullptr && !fallback_engaged_) {
-      // Graceful degradation: every remote endpoint is gone, so the held-
-      // back local transport joins the endpoint set and inherits the
-      // unfinished shards.
-      endpoints.push_back({fallback_});
-      fallback_engaged_ = true;
-    } else if (all_dead && live.empty() && !pending.empty()) {
+    if (all_dead && live.empty() && !pending.empty()) {
       nowhere_to_run = true;
       break;
     }
@@ -249,18 +239,18 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
         continue;
       }
       std::size_t chosen = kNoEndpoint;
-      std::size_t fallback_choice = kNoEndpoint;
+      std::size_t second_choice = kNoEndpoint;
       for (std::size_t e = 0; e < endpoints.size(); ++e) {
         if (endpoints[e].dead) continue;
         if (busy_on(e) >= endpoints[e].transport->capacity()) continue;
         if (e == pending[i].avoid_endpoint) {
-          fallback_choice = e;
+          second_choice = e;
           continue;
         }
         chosen = e;
         break;
       }
-      if (chosen == kNoEndpoint) chosen = fallback_choice;
+      if (chosen == kNoEndpoint) chosen = second_choice;
       if (chosen == kNoEndpoint) {
         ++i;  // no free lane right now; poll below frees one
         continue;
@@ -278,7 +268,6 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
       assignment.spec_text = spec_text;
       assignment.threads = options_.threads;
       assignment.cache_cap = options_.cache_cap;
-      assignment.snapshot_dir = options_.snapshot_dir;
       assignment.start_timeout_ms = options_.start_timeout_ms;
       assignment.heartbeat_ms = heartbeat_ms;
       // The worker tolerates a few missed coordinator beacons before
@@ -410,7 +399,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     std::string message =
         nowhere_to_run
             ? options_.label +
-                  " failed: every endpoint is dead with shards outstanding (no fallback left)"
+                  " failed: every endpoint is dead with shards outstanding"
             : options_.label + " failed: retry budget exhausted (" +
                   std::to_string(max_attempts) + " attempt(s) per shard)";
     for (const ShardDiagnostics& diag : diagnostics_) {
@@ -434,56 +423,40 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
 
 namespace {
 
-/// Builds the coordinator a MultiHostShardRunner drives: one TCP
-/// transport per host (each wrapped in a FaultyTransport when the
-/// LR_TEST_TRANSPORT_FAULT knob is set), plus the optional local
-/// process fallback.
-ShardCoordinator make_multi_host_coordinator(const RunnerOptions& options,
-                                             std::vector<HostSpec> hosts,
-                                             std::string fallback_worker_command) {
-  if (hosts.empty()) {
-    throw std::invalid_argument("MultiHostShardRunner: at least one host is required");
-  }
-  TransportFault fault;
-  if (const char* env = std::getenv("LR_TEST_TRANSPORT_FAULT")) {
-    if (*env != '\0') fault = parse_transport_fault(env);
-  }
+/// Builds the coordinator a ShardRunner drives: one TCP transport per
+/// host plus the local process endpoint, each wrapped in a
+/// FaultyTransport when the LR_TEST_TRANSPORT_FAULT knob is set.
+ShardCoordinator make_coordinator(const RunnerOptions& options, std::vector<HostSpec> hosts,
+                                  std::string worker_command) {
   std::vector<std::shared_ptr<ShardTransport>> transports;
-  transports.reserve(hosts.size());
   for (const HostSpec& host : hosts) {
-    std::shared_ptr<ShardTransport> transport =
-        std::make_shared<TcpShardTransport>(host.host, host.port, host.workers);
-    if (fault.kind != TransportFault::Kind::kNone) {
+    transports.push_back(std::make_shared<TcpShardTransport>(host.host, host.port, host.workers));
+  }
+  if (options.process_workers > 0) {
+    // Remote hosts do not share this filesystem, so only the local
+    // children get the snapshot dir (the CLI rejects --hosts with it).
+    transports.push_back(std::make_shared<ProcessShardTransport>(
+        options.process_workers, options.snapshot_dir, std::move(worker_command)));
+  }
+  if (const char* env = std::getenv("LR_TEST_TRANSPORT_FAULT"); env != nullptr && *env != '\0') {
+    const TransportFault fault = parse_transport_fault(env);
+    for (auto& transport : transports) {
       transport = std::make_shared<FaultyTransport>(std::move(transport), fault);
     }
-    transports.push_back(std::move(transport));
-  }
-  std::shared_ptr<ShardTransport> fallback;
-  if (options.process_workers > 0) {
-    fallback = std::make_shared<ProcessShardTransport>(options.process_workers,
-                                                       std::move(fallback_worker_command));
   }
   CoordinatorOptions coordinator_options;
   coordinator_options.retry.max_attempts = 1 + options.worker_retries;
   coordinator_options.timeout_ms = options.worker_timeout_ms;
-  coordinator_options.label = "multi-host sweep";
+  coordinator_options.label = hosts.empty() ? "multi-process sweep" : "multi-host sweep";
   coordinator_options.threads = options.threads;
   coordinator_options.cache_cap = options.cache_max_entries;
-  // snapshot_dir is deliberately not forwarded: remote hosts do not
-  // share this coordinator's filesystem (the CLI rejects the combination
-  // outright).
-  return ShardCoordinator(std::move(coordinator_options), std::move(transports),
-                          std::move(fallback));
+  return ShardCoordinator(std::move(coordinator_options), std::move(transports));
 }
 
 }  // namespace
 
-MultiHostShardRunner::MultiHostShardRunner(RunnerOptions options, std::vector<HostSpec> hosts,
-                                           std::string fallback_worker_command)
-    : coordinator_(
-          make_multi_host_coordinator(options, std::move(hosts),
-                                      std::move(fallback_worker_command))) {}
-
-SweepReport MultiHostShardRunner::run(const SweepSpec& spec) { return coordinator_.run(spec); }
+ShardRunner::ShardRunner(RunnerOptions options, std::vector<HostSpec> hosts,
+                         std::string worker_command)
+    : coordinator_(make_coordinator(options, std::move(hosts), std::move(worker_command))) {}
 
 }  // namespace lr

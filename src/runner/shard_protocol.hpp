@@ -10,11 +10,10 @@
 
 /// \file shard_protocol.hpp
 /// The wire protocol between a sweep coordinator and its shard workers —
-/// fork/exec'd `sweep-worker` child processes (runner/process_runner.hpp)
-/// over pipes, or remote `shard-server` daemons
-/// (runner/shard_server.hpp) over TCP: a small length-prefixed binary
-/// framing carrying per-run records back to the coordinator as a worker
-/// finishes them.
+/// `shard-server` sessions (runner/shard_server.hpp), reached over a
+/// socketpair to a local child or over TCP to a remote daemon: a small
+/// length-prefixed binary framing carrying per-run records back to the
+/// coordinator as a worker finishes them.
 ///
 /// Frame layout (all integers little-endian):
 ///
@@ -27,11 +26,9 @@
 /// kHeartbeat frames interleaved at any point after the hello — then one
 /// kShardDone (record count + the worker's cache counters).  A worker
 /// that cannot even start the shard (bad spec, version skew) may answer
-/// with a single kShardError instead of a hello.  Coordinator -> worker
-/// (TCP transport only): one kShardRequest opening the attempt, then
-/// kHeartbeat frames proving the coordinator is still alive.  The pipe
-/// transport ships the same assignment via argv/stdin and needs no
-/// frames in that direction.
+/// with a single kShardError instead of a hello.  Coordinator -> worker:
+/// one kShardRequest opening the attempt, then kHeartbeat frames proving
+/// the coordinator is still alive.
 ///
 /// Everything else — wrong magic, a payload over kMaxFramePayload, a
 /// checksum mismatch, an unknown enum value inside a record, trailing
@@ -46,7 +43,7 @@
 /// v2 worker's parser rejects a kShardRequest as an unknown frame type,
 /// which closes the connection and surfaces as a failed attempt.
 ///
-/// The parser is deliberately incremental (feed() bytes as the pipe
+/// The parser is deliberately incremental (feed() bytes as the socket
 /// yields them, next() yields complete frames) so the coordinator can
 /// multiplex many workers over poll() without threads, and so tests can
 /// replay a stream at any chunking.
@@ -59,7 +56,7 @@ enum class FrameType : std::uint8_t {
   kRecord = 2,        ///< one finished run, in ascending global-index order
   kShardDone = 3,     ///< shard complete: record count + cache counters
   kHeartbeat = 4,     ///< liveness beacon, either direction (v3)
-  kShardRequest = 5,  ///< coordinator -> worker shard assignment (v3, TCP)
+  kShardRequest = 5,  ///< coordinator -> worker shard assignment (v3)
   kShardError = 6,    ///< worker -> coordinator loud refusal (v3)
 };
 
@@ -118,10 +115,9 @@ struct HeartbeatFrame {
   std::uint64_t sequence = 0;         ///< per-connection beacon counter
 };
 
-/// Shard assignment, coordinator -> worker (v3, TCP transport).  Opens
-/// every connection: everything a `shard-server` needs to execute global
-/// runs [begin, end) of the sweep `spec_text` expands to, mirroring the
-/// argv/stdin contract of the pipe transport.
+/// Shard assignment, coordinator -> worker (v3).  Opens every session:
+/// everything a `shard-server` needs to execute global runs [begin, end)
+/// of the sweep `spec_text` expands to.
 struct ShardRequestFrame {
   std::uint32_t version = kShardProtocolVersion;  ///< must equal the worker's
   std::uint64_t shard = 0;        ///< shard index being assigned
@@ -168,7 +164,7 @@ std::vector<std::uint8_t> encode_frame(const ShardRequestFrame& request);
 /// \copydoc encode_frame(const HelloFrame&)
 std::vector<std::uint8_t> encode_frame(const ShardErrorFrame& error);
 
-/// Incremental frame decoder: feed() raw pipe bytes in any chunking,
+/// Incremental frame decoder: feed() raw socket bytes in any chunking,
 /// pull complete frames with next().  Throws ShardProtocolError on the
 /// first malformed byte; the instance is then unusable (the parent
 /// discards it with the worker).

@@ -12,7 +12,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -33,42 +35,331 @@ void close_fd(int& fd) {
   }
 }
 
+long long now_ms() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now().time_since_epoch())
+      .count();
+}
+
+/// Full write; MSG_NOSIGNAL because a session may run in a process that
+/// does not ignore SIGPIPE.  The caller holds the session's write lock.
+bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
+  std::size_t written = 0;
+  while (written < size) {
+    const ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Worker fault injection (LR_TEST_WORKER_FAULT)
+// ---------------------------------------------------------------------------
+
+enum class WorkerFault { kNone, kExit, kSegv, kTruncate, kStall };
+
+/// Reads LR_TEST_WORKER_FAULT (`kind:shard[:attempts]`) and returns the
+/// fault armed for this shard attempt: the shard matches and the attempt
+/// is within the knob's count (default 1, so a retried shard succeeds
+/// unless the knob says otherwise).  A malformed knob ends the process
+/// with exit code 2; only `--stdio` children ever read it.
+WorkerFault armed_worker_fault(std::uint64_t shard, std::uint64_t attempt) {
+  const char* env = std::getenv("LR_TEST_WORKER_FAULT");
+  if (env == nullptr || *env == '\0') return WorkerFault::kNone;
+  const std::string text(env);
+  const std::size_t first = text.find(':');
+  if (first == std::string::npos) {
+    std::fprintf(stderr, "error: malformed LR_TEST_WORKER_FAULT '%s' (want kind:shard[:attempts])\n",
+                 env);
+    ::_exit(2);
+  }
+  const std::string kind = text.substr(0, first);
+  std::string rest = text.substr(first + 1);
+  std::uint64_t attempts = 1;
+  const std::size_t second = rest.find(':');
+  if (second != std::string::npos) {
+    attempts = std::strtoull(rest.c_str() + second + 1, nullptr, 10);
+    rest.resize(second);
+  }
+  WorkerFault fault = WorkerFault::kNone;
+  if (kind == "exit") {
+    fault = WorkerFault::kExit;
+  } else if (kind == "segv") {
+    fault = WorkerFault::kSegv;
+  } else if (kind == "truncate") {
+    fault = WorkerFault::kTruncate;
+  } else if (kind == "stall") {
+    fault = WorkerFault::kStall;
+  } else {
+    std::fprintf(stderr, "error: unknown LR_TEST_WORKER_FAULT kind '%s'\n", kind.c_str());
+    ::_exit(2);
+  }
+  const bool armed = std::strtoull(rest.c_str(), nullptr, 10) == shard && attempt < attempts;
+  return armed ? fault : WorkerFault::kNone;
+}
+
+/// Injects `fault` mid-shard; every branch leaves the process.  Holding
+/// the write lock silences the session's beacons too, so a stall reads
+/// as a wedged worker and a truncation stays mid-frame.
+[[noreturn]] void trigger_fault(WorkerFault fault, ShardSession& session) {
+  const std::lock_guard<std::mutex> lock(session.write_mutex);
+  switch (fault) {
+    case WorkerFault::kSegv:
+      ::raise(SIGSEGV);
+      break;  // unreachable unless SIGSEGV is blocked
+    case WorkerFault::kTruncate: {
+      // A syntactically valid header promising a 64-byte record payload,
+      // followed by only 8 payload bytes and EOF: the coordinator must
+      // classify this as a truncated frame, never a clean shard end.
+      std::vector<std::uint8_t> bytes;
+      for (int byte = 0; byte < 4; ++byte) bytes.push_back((kFrameMagic >> (8 * byte)) & 0xffu);
+      bytes.push_back(static_cast<std::uint8_t>(FrameType::kRecord));
+      bytes.insert(bytes.end(), {64, 0, 0, 0});
+      bytes.insert(bytes.end(), 8, 0xabu);
+      write_all(session.fd, bytes.data(), bytes.size());
+      ::_exit(0);
+    }
+    case WorkerFault::kStall: {
+      // Silent until the coordinator's watchdog kills us or it hangs up.
+      std::uint8_t sink[256];
+      for (;;) {
+        const ssize_t n = ::recv(session.fd, sink, sizeof(sink), 0);
+        if (n == 0 || (n < 0 && errno != EINTR)) break;
+      }
+      break;
+    }
+    case WorkerFault::kExit:
+    case WorkerFault::kNone:
+      break;
+  }
+  ::_exit(3);
+}
+
+/// Phase 1 + 2 of a session: receives the kShardRequest within
+/// `timeout_ms` and validates it against its own spec.  Returns the
+/// refusal, or empty with `request` and `runs` filled.  `parser` keeps
+/// any bytes that followed the request (a coordinator beacon straddling
+/// the read).
+std::string receive_request(ShardSession& session, FrameParser& parser, int timeout_ms,
+                            ShardRequestFrame& request, std::vector<RunSpec>& runs) {
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::optional<Frame> frame;
+  while (!frame) {
+    if (session.cancelled.load()) return "session cancelled";
+    const auto remaining_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    if (remaining_ms <= 0) return "no shard request within " + std::to_string(timeout_ms) + " ms";
+    struct pollfd pfd {
+      session.fd, POLLIN, 0
+    };
+    if (::poll(&pfd, 1, static_cast<int>(std::min<long long>(remaining_ms, 200))) <= 0) continue;
+    std::uint8_t buffer[65536];
+    const ssize_t n = ::recv(session.fd, buffer, sizeof(buffer), 0);
+    if (n == 0) return "coordinator closed before sending a shard request";
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      return std::string("recv: ") + std::strerror(errno);
+    }
+    try {
+      parser.feed(buffer, static_cast<std::size_t>(n));
+      frame = parser.next();
+    } catch (const ShardProtocolError& error) {
+      return std::string("malformed request stream: ") + error.what();
+    }
+  }
+  if (frame->type != FrameType::kShardRequest) return "first frame must be a shard request";
+  request = std::move(frame->request);
+  if (request.version != kShardProtocolVersion) {
+    return "protocol version mismatch (coordinator " + std::to_string(request.version) +
+           ", worker " + std::to_string(kShardProtocolVersion) + ")";
+  }
+  try {
+    // Count before expanding, so a request claiming a tiny sweep cannot
+    // make the worker materialize a huge one.
+    const SweepSpec spec = SweepSpec::parse_string(request.spec_text);
+    if (spec.run_count() != request.total) {
+      return "spec expands to " + std::to_string(spec.run_count()) +
+             " runs but coordinator expected " + std::to_string(request.total);
+    }
+    runs = spec.expand();
+  } catch (const std::exception& error) {
+    return std::string("cannot parse sweep spec: ") + error.what();
+  }
+  if (request.begin > request.end || request.end > runs.size()) {
+    return "shard range [" + std::to_string(request.begin) + ", " + std::to_string(request.end) +
+           ") exceeds the sweep's " + std::to_string(runs.size()) + " runs";
+  }
+  return {};
+}
+
 }  // namespace
 
-/// Per-connection state shared between the session's compute thread and
-/// the server's stop() path.
-struct ShardServer::Session {
-  int fd = -1;
-  std::atomic<bool> cancelled{false};  ///< abandon the session ASAP
-  std::atomic<bool> done{false};       ///< shard-done frame sent
-  std::mutex write_mutex;              ///< serializes records vs. beacons
-  std::thread thread;
+void ShardSession::cancel() {
+  cancelled.store(true);
+  ::shutdown(fd, SHUT_RDWR);
+}
 
-  /// Cancels the session: further writes fail immediately and blocked
-  /// peers observe a closed connection.  Safe from any thread.
-  void cancel() {
-    cancelled.store(true);
-    ::shutdown(fd, SHUT_RDWR);
+bool ShardSession::send_bytes(const std::vector<std::uint8_t>& bytes) {
+  const std::lock_guard<std::mutex> lock(write_mutex);
+  if (write_all(fd, bytes.data(), bytes.size())) return true;
+  cancel();
+  return false;
+}
+
+bool serve_shard_session(ShardSession& session, const ShardSessionOptions& options) {
+  FrameParser parser;
+  ShardRequestFrame request;
+  std::vector<RunSpec> runs;
+  const std::string refusal =
+      receive_request(session, parser, options.request_timeout_ms, request, runs);
+  if (!refusal.empty()) {
+    if (!session.cancelled.load()) {
+      ShardErrorFrame error;
+      error.message = refusal;
+      session.send_bytes(encode_frame(error));
+    }
+    session.done.store(true);
+    return false;
   }
 
-  /// Full write under the write mutex; MSG_NOSIGNAL because the server
-  /// may be embedded in a process that does not ignore SIGPIPE.  A
-  /// failed write cancels the session.
-  bool send_bytes(const std::vector<std::uint8_t>& bytes) {
-    const std::lock_guard<std::mutex> lock(write_mutex);
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-      const ssize_t n =
-          ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        cancel();
+  // ---- Phase 3: hello, then compute with a liveness watchdog. ---------
+  HelloFrame hello;
+  hello.shard = request.shard;
+  hello.begin = request.begin;
+  hello.end = request.end;
+  hello.attempt = request.attempt;
+  session.send_bytes(encode_frame(hello));
+  const WorkerFault fault = options.worker_faults
+                                ? armed_worker_fault(request.shard, request.attempt)
+                                : WorkerFault::kNone;
+
+  const int heartbeat_ms = static_cast<int>(std::max<std::uint32_t>(request.heartbeat_ms, 1));
+  const int liveness_ms =
+      static_cast<int>(std::max<std::uint32_t>(request.liveness_timeout_ms, 1));
+  std::atomic<long long> last_heard_ms{now_ms()};
+
+  // The watchdog owns the read side: coordinator beacons reset the
+  // liveness deadline; silence past it — or EOF, or a protocol error —
+  // cancels the session so the compute loop unwinds at its next chunk
+  // boundary or failed write.  It also sends this worker's own beacons,
+  // so a chunk that takes longer than the coordinator's watchdog does
+  // not read as a dead worker.
+  std::thread watchdog([&] {
+    std::uint64_t beacon_sequence = 0;
+    Clock::time_point next_beacon = Clock::now() + std::chrono::milliseconds(heartbeat_ms);
+    // Drains every buffered frame; returns false on anything but a
+    // coordinator beacon (only beacons are in contract mid-shard).
+    const auto drain_beacons = [&]() -> bool {
+      try {
+        while (auto frame = parser.next()) {
+          if (frame->type != FrameType::kHeartbeat || frame->heartbeat.from_coordinator != 1) {
+            return false;
+          }
+          last_heard_ms.store(now_ms());
+        }
+      } catch (const ShardProtocolError&) {
         return false;
       }
-      written += static_cast<std::size_t>(n);
+      return true;
+    };
+    if (!drain_beacons()) {
+      session.cancel();
+      return;
     }
-    return true;
+    while (!session.done.load() && !session.cancelled.load()) {
+      const Clock::time_point now = Clock::now();
+      if (now_ms() - last_heard_ms.load() > liveness_ms) {
+        session.cancel();  // coordinator presumed dead or partitioned
+        break;
+      }
+      if (now >= next_beacon) {
+        HeartbeatFrame beacon;
+        beacon.from_coordinator = 0;
+        beacon.sequence = beacon_sequence++;
+        if (!session.send_bytes(encode_frame(beacon))) break;
+        next_beacon = now + std::chrono::milliseconds(heartbeat_ms);
+      }
+      const auto until_beacon =
+          std::chrono::duration_cast<std::chrono::milliseconds>(next_beacon - now).count();
+      struct pollfd pfd {
+        session.fd, POLLIN, 0
+      };
+      const int ready =
+          ::poll(&pfd, 1, static_cast<int>(std::clamp<long long>(until_beacon, 1, 100)));
+      if (ready <= 0) continue;
+      std::uint8_t buffer[4096];
+      const ssize_t n = ::recv(session.fd, buffer, sizeof(buffer), MSG_DONTWAIT);
+      if (n == 0) {
+        session.cancel();  // coordinator went away
+        break;
+      }
+      if (n < 0) {
+        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+        session.cancel();
+        break;
+      }
+      parser.feed(buffer, static_cast<std::size_t>(n));
+      if (!drain_beacons()) {
+        session.cancel();
+        break;
+      }
+    }
+  });
+
+  // Shared-nothing execution with this session's own runner and cache,
+  // in 16-run chunks so records flow long before the shard finishes.
+  constexpr std::size_t kChunk = 16;
+  bool completed = false;
+  {
+    const ScenarioRunner runner({.threads = static_cast<std::size_t>(request.threads),
+                                 .cache_max_entries = static_cast<std::size_t>(request.cache_cap)});
+    SweepCache cache(static_cast<std::size_t>(request.cache_cap), options.snapshot_dir);
+    const std::size_t fault_at = (request.end - request.begin) / 2;  // mid-shard
+    std::size_t emitted = 0;
+    bool failed = false;
+    for (std::uint64_t offset = request.begin; offset < request.end && !failed;
+         offset += kChunk) {
+      if (session.cancelled.load()) {
+        failed = true;
+        break;
+      }
+      const std::uint64_t stop = std::min<std::uint64_t>(offset + kChunk, request.end);
+      const std::vector<RunSpec> slice(runs.begin() + static_cast<std::ptrdiff_t>(offset),
+                                       runs.begin() + static_cast<std::ptrdiff_t>(stop));
+      const std::vector<RunRecord> records = runner.run_all(slice, cache);
+      for (std::size_t i = 0; i < records.size() && !failed; ++i) {
+        if (fault != WorkerFault::kNone && emitted == fault_at) trigger_fault(fault, session);
+        RecordFrame frame;
+        frame.global_index = offset + i;
+        frame.record = records[i];
+        if (!session.send_bytes(encode_frame(frame))) failed = true;
+        ++emitted;
+      }
+    }
+    if (!failed && !session.cancelled.load()) {
+      ShardDoneFrame done;
+      done.records_emitted = emitted;
+      done.cache = {cache.entries(), cache.hits(), cache.misses(), cache.evictions()};
+      completed = session.send_bytes(encode_frame(done));
+    }
   }
+
+  session.done.store(true);  // stops the watchdog
+  watchdog.join();
+  return completed;
+}
+
+// ---------------------------------------------------------------------------
+// ShardServer: one session thread per TCP connection
+// ---------------------------------------------------------------------------
+
+/// A TCP connection's session plus the thread serving it.
+struct ShardServer::Session : ShardSession {
+  using ShardSession::ShardSession;
+  std::thread thread;
 };
 
 ShardServer::ShardServer(ShardServerOptions options) : options_(std::move(options)) {
@@ -86,7 +377,8 @@ ShardServer::ShardServer(ShardServerOptions options) : options_(std::move(option
   }
   std::string last_error = "no addresses";
   for (struct addrinfo* address = addresses; address != nullptr; address = address->ai_next) {
-    listen_fd_ = ::socket(address->ai_family, address->ai_socktype, address->ai_protocol);
+    listen_fd_ = ::socket(address->ai_family, address->ai_socktype | SOCK_CLOEXEC,
+                          address->ai_protocol);
     if (listen_fd_ < 0) {
       last_error = std::string("socket: ") + std::strerror(errno);
       continue;
@@ -165,239 +457,22 @@ void ShardServer::accept_loop() {
     const int ready = ::poll(&pfd, 1, 100);
     if (stopping_.load()) break;
     if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
     int nodelay = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-    auto session = std::make_shared<Session>();
-    session->fd = fd;
+    auto session = std::make_shared<Session>(fd);
     {
       const std::lock_guard<std::mutex> lock(sessions_mutex_);
       sessions_.push_back(session);
     }
-    session->thread = std::thread([this, session] { serve_session(session); });
+    session->thread = std::thread([this, session] {
+      ShardSessionOptions session_options;
+      session_options.request_timeout_ms = options_.request_timeout_ms;
+      const bool completed = serve_shard_session(*session, session_options);
+      (completed ? sessions_completed_ : sessions_failed_).fetch_add(1);
+    });
   }
-}
-
-void ShardServer::serve_session(const std::shared_ptr<Session>& session) {
-  const int fd = session->fd;
-  bool completed = false;
-
-  // ---- Phase 1: receive the shard request, deadline-bounded. ----------
-  FrameParser parser;
-  std::optional<Frame> request_frame;
-  std::string refusal;
-  const Clock::time_point request_deadline =
-      Clock::now() + std::chrono::milliseconds(options_.request_timeout_ms);
-  while (!request_frame && refusal.empty() && !session->cancelled.load()) {
-    const auto remaining_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(request_deadline - Clock::now())
-            .count();
-    if (remaining_ms <= 0) {
-      refusal = "no shard request within " + std::to_string(options_.request_timeout_ms) + " ms";
-      break;
-    }
-    struct pollfd pfd {
-      fd, POLLIN, 0
-    };
-    const int ready = ::poll(&pfd, 1, static_cast<int>(std::min<long long>(remaining_ms, 200)));
-    if (ready <= 0) continue;
-    std::uint8_t buffer[65536];
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n == 0) {
-      refusal = "coordinator closed before sending a shard request";
-      break;
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      refusal = std::string("recv: ") + std::strerror(errno);
-      break;
-    }
-    try {
-      parser.feed(buffer, static_cast<std::size_t>(n));
-      if (auto frame = parser.next()) {
-        if (frame->type != FrameType::kShardRequest) {
-          refusal = "first frame must be a shard request";
-        } else {
-          request_frame = std::move(frame);
-        }
-      }
-    } catch (const ShardProtocolError& error) {
-      refusal = std::string("malformed request stream: ") + error.what();
-    }
-  }
-
-  // ---- Phase 2: validate, refusing loudly on any mismatch. ------------
-  std::vector<RunSpec> runs;
-  if (refusal.empty() && request_frame) {
-    const ShardRequestFrame& request = request_frame->request;
-    if (request.version != kShardProtocolVersion) {
-      refusal = "protocol version mismatch (coordinator " + std::to_string(request.version) +
-                ", worker " + std::to_string(kShardProtocolVersion) + ")";
-    } else {
-      try {
-        runs = SweepSpec::parse_string(request.spec_text).expand();
-      } catch (const std::exception& error) {
-        refusal = std::string("cannot parse sweep spec: ") + error.what();
-      }
-      if (refusal.empty() && runs.size() != request.total) {
-        refusal = "spec expands to " + std::to_string(runs.size()) +
-                  " runs but coordinator expected " + std::to_string(request.total);
-      }
-      if (refusal.empty() && (request.begin > request.end || request.end > runs.size())) {
-        refusal = "shard range [" + std::to_string(request.begin) + ", " +
-                  std::to_string(request.end) + ") exceeds the sweep's " +
-                  std::to_string(runs.size()) + " runs";
-      }
-    }
-  }
-  if (!refusal.empty() || !request_frame) {
-    if (!refusal.empty() && !session->cancelled.load()) {
-      ShardErrorFrame error;
-      error.message = refusal;
-      session->send_bytes(encode_frame(error));
-    }
-    sessions_failed_.fetch_add(1);
-    session->done.store(true);  // last: hands the fd to the reaper
-    return;
-  }
-
-  const ShardRequestFrame request = request_frame->request;
-
-  // ---- Phase 3: hello, then compute with a liveness watchdog. ---------
-  HelloFrame hello;
-  hello.shard = request.shard;
-  hello.begin = request.begin;
-  hello.end = request.end;
-  hello.attempt = request.attempt;
-  session->send_bytes(encode_frame(hello));
-
-  const int heartbeat_ms = static_cast<int>(std::max<std::uint32_t>(request.heartbeat_ms, 1));
-  const int liveness_ms =
-      static_cast<int>(std::max<std::uint32_t>(request.liveness_timeout_ms, 1));
-  std::atomic<long long> last_heard_ms{
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now().time_since_epoch())
-          .count()};
-
-  // The watchdog owns the read side: coordinator beacons reset the
-  // liveness deadline; silence past it — or EOF, or a protocol error —
-  // cancels the session so the compute loop unwinds at its next chunk
-  // boundary or failed write.  It also sends this worker's own beacons,
-  // so a chunk that takes longer than the coordinator's watchdog does
-  // not read as a dead worker.
-  // The watchdog inherits the phase-1 parser so a coordinator beacon
-  // whose bytes straddled the request read is parsed, not lost.
-  std::thread watchdog([&, session] {
-    std::uint64_t beacon_sequence = 0;
-    Clock::time_point next_beacon = Clock::now() + std::chrono::milliseconds(heartbeat_ms);
-    // Drains every buffered frame; returns false on anything but a
-    // coordinator beacon (only beacons are in contract mid-shard).
-    const auto drain_beacons = [&]() -> bool {
-      try {
-        while (auto frame = parser.next()) {
-          if (frame->type != FrameType::kHeartbeat || frame->heartbeat.from_coordinator != 1) {
-            return false;
-          }
-          last_heard_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                  Clock::now().time_since_epoch())
-                                  .count());
-        }
-      } catch (const ShardProtocolError&) {
-        return false;
-      }
-      return true;
-    };
-    if (!drain_beacons()) {
-      session->cancel();
-      return;
-    }
-    while (!session->done.load() && !session->cancelled.load()) {
-      const Clock::time_point now = Clock::now();
-      const long long now_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now.time_since_epoch()).count();
-      if (now_ms - last_heard_ms.load() > liveness_ms) {
-        session->cancel();  // coordinator presumed dead or partitioned
-        break;
-      }
-      if (now >= next_beacon) {
-        HeartbeatFrame beacon;
-        beacon.from_coordinator = 0;
-        beacon.sequence = beacon_sequence++;
-        if (!session->send_bytes(encode_frame(beacon))) break;
-        next_beacon = now + std::chrono::milliseconds(heartbeat_ms);
-      }
-      const auto until_beacon =
-          std::chrono::duration_cast<std::chrono::milliseconds>(next_beacon - now).count();
-      struct pollfd pfd {
-        fd, POLLIN, 0
-      };
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(std::clamp<long long>(until_beacon, 1, 100)));
-      if (ready <= 0) continue;
-      std::uint8_t buffer[4096];
-      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
-      if (n == 0) {
-        session->cancel();  // coordinator went away
-        break;
-      }
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        session->cancel();
-        break;
-      }
-      parser.feed(buffer, static_cast<std::size_t>(n));
-      if (!drain_beacons()) {
-        session->cancel();
-        break;
-      }
-    }
-  });
-
-  // Shared-nothing execution with this session's own runner and cache,
-  // chunked exactly like the fork/exec worker so records flow long
-  // before the shard finishes.
-  constexpr std::size_t kChunk = 16;
-  bool failed = false;
-  {
-    const std::size_t threads = static_cast<std::size_t>(request.threads);
-    const std::size_t cache_cap = static_cast<std::size_t>(request.cache_cap);
-    const ScenarioRunner runner({.threads = threads == 0 ? 0 : threads,
-                                 .cache_max_entries = cache_cap});
-    SweepCache cache(cache_cap);
-    std::size_t emitted = 0;
-    for (std::uint64_t offset = request.begin; offset < request.end && !failed;
-         offset += kChunk) {
-      if (session->cancelled.load()) {
-        failed = true;
-        break;
-      }
-      const std::uint64_t stop = std::min<std::uint64_t>(offset + kChunk, request.end);
-      const std::vector<RunSpec> slice(runs.begin() + static_cast<std::ptrdiff_t>(offset),
-                                       runs.begin() + static_cast<std::ptrdiff_t>(stop));
-      const std::vector<RunRecord> records = runner.run_all(slice, cache);
-      for (std::size_t i = 0; i < records.size() && !failed; ++i) {
-        RecordFrame frame;
-        frame.global_index = offset + i;
-        frame.record = records[i];
-        if (!session->send_bytes(encode_frame(frame))) failed = true;
-        ++emitted;
-      }
-    }
-    if (!failed && !session->cancelled.load()) {
-      ShardDoneFrame done;
-      done.records_emitted = emitted;
-      done.cache = {cache.entries(), cache.hits(), cache.misses(), cache.evictions()};
-      if (session->send_bytes(encode_frame(done))) completed = true;
-    }
-  }
-
-  if (completed) {
-    sessions_completed_.fetch_add(1);
-  } else {
-    sessions_failed_.fetch_add(1);
-  }
-  session->done.store(true);  // last: stops the watchdog, hands the fd over
-  if (watchdog.joinable()) watchdog.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -410,10 +485,28 @@ int server_argv_error(const std::string& why) {
   std::fprintf(stderr,
                "error: %s\n"
                "usage: lr_cli shard-server --listen <port> [--bind <address>]\n"
-               "Serves sweep shards to a remote `lr_cli sweep --hosts` coordinator over the\n"
-               "v3 shard protocol; binds 127.0.0.1 unless --bind says otherwise.\n",
+               "       lr_cli shard-server --stdio [--snapshot-dir DIR]\n"
+               "--listen serves sweep shards to remote `lr_cli sweep --hosts` coordinators\n"
+               "over the v3 shard protocol; binds 127.0.0.1 unless --bind says otherwise.\n"
+               "--stdio serves one shard over the socket on fd 0; `lr_cli sweep --processes N`\n"
+               "spawns its workers this way.\n",
                why.c_str());
   return 2;
+}
+
+/// `--stdio`: one session on the socket at fd 0, then exit.
+int serve_stdio(const std::string& snapshot_dir) {
+  int type = 0;
+  socklen_t length = sizeof(type);
+  if (::getsockopt(STDIN_FILENO, SOL_SOCKET, SO_TYPE, &type, &length) != 0 ||
+      type != SOCK_STREAM) {
+    return server_argv_error("--stdio needs a connected stream socket on fd 0");
+  }
+  ShardSession session(STDIN_FILENO);
+  ShardSessionOptions options;
+  options.snapshot_dir = snapshot_dir;
+  options.worker_faults = true;
+  return serve_shard_session(session, options) ? 0 : 1;
 }
 
 }  // namespace
@@ -424,13 +517,21 @@ int shard_server_main(int argc, char** argv) {
   }
   ShardServerOptions options;
   bool listen_seen = false;
+  bool stdio = false;
+  std::string snapshot_dir;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
+    if (flag == "--stdio") {
+      stdio = true;
+      continue;
+    }
     if (i + 1 >= argc) return server_argv_error("flag '" + flag + "' is missing its value");
     const std::string value = argv[++i];
     if (flag == "--bind") {
       if (value.empty()) return server_argv_error("--bind needs a non-empty address");
       options.bind_address = value;
+    } else if (flag == "--snapshot-dir") {
+      snapshot_dir = value;
     } else if (flag == "--listen") {
       char* end = nullptr;
       const unsigned long port = std::strtoul(value.c_str(), &end, 10);
@@ -443,7 +544,12 @@ int shard_server_main(int argc, char** argv) {
       return server_argv_error("unknown flag '" + flag + "'");
     }
   }
-  if (!listen_seen) return server_argv_error("--listen <port> is required");
+  if (stdio) {
+    if (listen_seen) return server_argv_error("--stdio and --listen are exclusive");
+    return serve_stdio(snapshot_dir);
+  }
+  if (!listen_seen) return server_argv_error("--listen <port> (or --stdio) is required");
+  if (!snapshot_dir.empty()) return server_argv_error("--snapshot-dir needs --stdio");
 
   // Serve until SIGINT/SIGTERM; the mask is installed before the server
   // threads spawn so they inherit it and sigwait below is race-free.

@@ -9,31 +9,77 @@
 #include <vector>
 
 /// \file shard_server.hpp
-/// The worker daemon of the multi-host sweep dataplane: a TCP server
-/// that accepts shard-protocol v3 connections from a remote coordinator
-/// (runner/shard_coordinator.hpp via TcpShardTransport), executes the
-/// requested shard with this process's own ScenarioRunner + SweepCache,
-/// and streams hello / record / shard-done frames back — the TCP
-/// counterpart of the fork/exec `sweep-worker` child.
+/// The worker side of the sharded sweep dataplane: one shard session
+/// function, served either by a TCP daemon to remote coordinators
+/// (`lr_cli shard-server --listen`, ShardServer) or by a one-session
+/// child process over a socketpair on its fd 0 (`lr_cli shard-server
+/// --stdio`, fork/exec'd by ProcessShardTransport for `sweep
+/// --processes`).  Both run serve_shard_session(); only the way the
+/// socket reaches it differs.
 ///
 /// Session contract, per connection: the coordinator opens with one
-/// kShardRequest; the server validates it (protocol version, parseable
+/// kShardRequest; the session validates it (protocol version, parseable
 /// spec, run-count and range cross-checks) and either answers with a
 /// single loud kShardError and closes, or replies kHello and executes
 /// the shard in chunks, interleaving kHeartbeat beacons so a
 /// long-running chunk never looks like a dead worker.  A per-session
 /// watchdog reads the coordinator's own beacons; a coordinator silent
 /// past the request's liveness timeout — or a closed connection — makes
-/// the server abandon the session and reclaim its threads, so an
-/// orphaned server never computes for a dead coordinator and never
-/// leaks sessions.  Every wait is deadline-bounded: no peer behavior
-/// can hang the server.
+/// the session abandon the shard, so an orphaned worker never computes
+/// for a dead coordinator.  Every wait is deadline-bounded: no peer
+/// behavior can hang a session.
 ///
-/// The class is embeddable (tests and benches run real TCP sessions
-/// in-process, no daemon needed); `shard_server_main` wraps it as the
-/// `lr_cli shard-server --listen <port>` subcommand.
+/// Fault injection (test hook, `--stdio` children only): the
+/// LR_TEST_WORKER_FAULT environment variable — `exit:<shard>`,
+/// `segv:<shard>`, `truncate:<shard>`, `stall:<shard>`, each with an
+/// optional `:<attempts>` suffix (default 1) — makes the child inject
+/// that fault mid-shard on its first `<attempts>` attempts, which is
+/// how tests/process_runner_test.cpp drives the retry-then-success and
+/// bounded-retry-then-loud-failure batteries.
 
 namespace lr {
+
+/// One shard session's connection state, shared between the thread
+/// serving it and whoever may cancel it.  The socket is borrowed: the
+/// owner closes it after the session has ended.
+struct ShardSession {
+  /// Wraps the connected stream socket `fd`.
+  explicit ShardSession(int fd) : fd(fd) {}
+
+  int fd = -1;                         ///< connected stream socket
+  std::atomic<bool> cancelled{false};  ///< abandon the session ASAP
+  std::atomic<bool> done{false};       ///< the session function has finished
+  std::mutex write_mutex;              ///< serializes records vs. beacons
+
+  /// Cancels the session: further writes fail immediately and blocked
+  /// peers observe a closed connection.  Safe from any thread.
+  void cancel();
+
+  /// Full write under the write mutex; a failed write cancels the
+  /// session.  Returns false on failure.
+  bool send_bytes(const std::vector<std::uint8_t>& bytes);
+};
+
+/// Knobs of one shard session that are local to the worker, not part of
+/// the coordinator's request.
+struct ShardSessionOptions {
+  /// Budget for the coordinator to deliver its kShardRequest; past it
+  /// the session refuses with a kShardError and ends.
+  int request_timeout_ms = 10'000;
+
+  /// Snapshot directory of the session's SweepCache (empty = none).
+  std::string snapshot_dir;
+
+  /// Honour LR_TEST_WORKER_FAULT (set by the `--stdio` child only).
+  bool worker_faults = false;
+};
+
+/// Serves one shard session on `session.fd`: request deadline,
+/// validation with kShardError refusals, hello, two-way heartbeats with
+/// the coordinator watchdog, chunked execution, shard-done.  Sets
+/// `session.done` last.  Returns true when the shard-done frame was
+/// sent.
+bool serve_shard_session(ShardSession& session, const ShardSessionOptions& options);
 
 /// Configuration of a ShardServer.
 struct ShardServerOptions {
@@ -50,8 +96,10 @@ struct ShardServerOptions {
   int request_timeout_ms = 10'000;
 };
 
-/// A running shard server: binds in the constructor (so the port is
-/// known immediately), serves after start(), drains after stop().
+/// A running TCP shard server: binds in the constructor (so the port is
+/// known immediately), serves one session per connection after start(),
+/// drains after stop().  Embeddable: tests and benches run real TCP
+/// sessions in-process, no daemon needed.
 class ShardServer {
  public:
   /// Binds and listens; throws std::runtime_error when the address or
@@ -88,7 +136,6 @@ class ShardServer {
   struct Session;
 
   void accept_loop();
-  void serve_session(const std::shared_ptr<Session>& session);
 
   ShardServerOptions options_;
   int listen_fd_ = -1;
@@ -102,12 +149,20 @@ class ShardServer {
   std::atomic<std::uint64_t> sessions_failed_{0};
 };
 
-/// Entry point of the `shard-server` subcommand: parses
-/// `shard-server --listen <port> [--bind <address>]`, prints one
-/// "shard-server listening on <address>:<port>" line to stdout (the
-/// ready signal deployment scripts wait for), and serves until SIGINT
-/// or SIGTERM.  Returns the process exit code (2 with a usage message
-/// on bad arguments, matching the CLI's validation convention).
+/// Entry point of the `shard-server` subcommand, in one of two modes:
+///
+///   - `shard-server --listen <port> [--bind <address>]`: prints one
+///     "shard-server listening on <address>:<port>" line to stdout (the
+///     ready signal deployment scripts wait for) and serves until SIGINT
+///     or SIGTERM;
+///   - `shard-server --stdio [--snapshot-dir D]`: serves exactly one
+///     session on fd 0, which must be a connected socket (the
+///     socketpair end ProcessShardTransport hands its child), then
+///     exits 0 when the shard completed and 1 otherwise.
+///
+/// Returns the process exit code (2 with a usage message on bad
+/// arguments or a non-socket fd 0, matching the CLI's validation
+/// convention).
 int shard_server_main(int argc, char** argv);
 
 }  // namespace lr

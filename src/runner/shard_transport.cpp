@@ -62,7 +62,7 @@ std::string describe_status(int status) {
 }
 
 /// The running binary's path: the default worker command, so any binary
-/// that forwards `sweep-worker` argv to sweep_worker_main() self-hosts
+/// that forwards `shard-server` argv to shard_server_main() self-hosts
 /// its workers.
 std::string self_executable_path() {
   char buffer[4096];
@@ -75,34 +75,9 @@ std::string self_executable_path() {
   return buffer;
 }
 
-/// Maps one nonblocking read() on `fd` to the channel-read contract.
-ChannelRead read_fd(int fd, std::uint8_t* buffer, std::size_t capacity) {
-  ChannelRead result;
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, capacity);
-    if (n > 0) {
-      result.kind = ChannelRead::Kind::kData;
-      result.bytes = static_cast<std::size_t>(n);
-      return result;
-    }
-    if (n == 0) {
-      result.kind = ChannelRead::Kind::kEof;
-      return result;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.kind = ChannelRead::Kind::kWouldBlock;
-      return result;
-    }
-    result.kind = ChannelRead::Kind::kError;
-    result.error = std::string("read error: ") + std::strerror(errno);
-    return result;
-  }
-}
-
-/// Writes `size` bytes to a (possibly nonblocking) fd, polling for
-/// writability until `deadline`.  Returns empty on success, else the
-/// failure description.
+/// Writes `size` bytes to a nonblocking fd, polling for writability
+/// until `deadline`.  Returns empty on success, else the failure
+/// description.
 std::string write_all_deadline(int fd, const std::uint8_t* data, std::size_t size,
                                Clock::time_point deadline) {
   std::size_t written = 0;
@@ -130,61 +105,25 @@ std::string write_all_deadline(int fd, const std::uint8_t* data, std::size_t siz
   return {};
 }
 
-// ---------------------------------------------------------------------------
-// Pipe channel: one fork/exec'd sweep-worker child
-// ---------------------------------------------------------------------------
-
-class ProcessShardChannel final : public ShardChannel {
+/// One shard attempt's socket to its worker — a socketpair end to a local
+/// child (`pid` > 0), which the channel kills and reaps, or a TCP
+/// connection to a remote shard-server (`pid` = -1).
+class SocketShardChannel final : public ShardChannel {
  public:
-  ProcessShardChannel(pid_t pid, int fd) : pid_(pid), fd_(fd) {}
-  ~ProcessShardChannel() override { abort(); }
+  SocketShardChannel(int fd, pid_t pid) : fd_(fd), pid_(pid) {}
+  ~SocketShardChannel() override { abort(); }
 
   int poll_fd() const noexcept override { return fd_; }
 
   ChannelRead read_some(std::uint8_t* buffer, std::size_t capacity) override {
-    return read_fd(fd_, buffer, capacity);
-  }
-
-  // A pipe to our own child has implicit liveness (death is an EOF), so
-  // there is no beacon to send.
-  std::string send_heartbeat(std::uint64_t /*sequence*/) override { return {}; }
-
-  std::string abort() override {
-    close_fd(fd_);
-    if (pid_ <= 0) return "not running";
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return describe_status(status);
-  }
-
-  void complete() override {
-    close_fd(fd_);
-    if (pid_ <= 0) return;
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
- private:
-  pid_t pid_;
-  int fd_;
-};
-
-// ---------------------------------------------------------------------------
-// TCP channel: one connection to a shard-server
-// ---------------------------------------------------------------------------
-
-class TcpShardChannel final : public ShardChannel {
- public:
-  explicit TcpShardChannel(int fd) : fd_(fd) {}
-  ~TcpShardChannel() override { abort(); }
-
-  int poll_fd() const noexcept override { return fd_; }
-
-  ChannelRead read_some(std::uint8_t* buffer, std::size_t capacity) override {
-    return read_fd(fd_, buffer, capacity);
+    for (;;) {
+      const ssize_t n = ::read(fd_, buffer, capacity);
+      if (n > 0) return {ChannelRead::Kind::kData, static_cast<std::size_t>(n), {}};
+      if (n == 0) return {ChannelRead::Kind::kEof, 0, {}};
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return {ChannelRead::Kind::kWouldBlock, 0, {}};
+      return {ChannelRead::Kind::kError, 0, std::string("read error: ") + std::strerror(errno)};
+    }
   }
 
   std::string send_heartbeat(std::uint64_t sequence) override {
@@ -203,16 +142,65 @@ class TcpShardChannel final : public ShardChannel {
   }
 
   std::string abort() override {
-    if (fd_ < 0) return "not connected";
+    if (fd_ < 0 && pid_ <= 0) return "not connected";
     close_fd(fd_);
-    return "connection closed by coordinator";
+    if (pid_ <= 0) return "connection closed by coordinator";
+    ::kill(pid_, SIGKILL);
+    return reap();
   }
 
-  void complete() override { close_fd(fd_); }
+  void complete() override {
+    close_fd(fd_);
+    if (pid_ > 0) reap();
+  }
+
+  /// Ships the attempt's kShardRequest within `deadline`; returns empty
+  /// on success, else the failure description.
+  std::string send_request(const ShardAssignment& assignment, Clock::time_point deadline) {
+    ShardRequestFrame request;
+    request.shard = assignment.shard;
+    request.begin = assignment.range.begin;
+    request.end = assignment.range.end;
+    request.total = assignment.total;
+    request.attempt = assignment.attempt;
+    request.threads = assignment.threads;
+    request.cache_cap = assignment.cache_cap;
+    request.heartbeat_ms = static_cast<std::uint32_t>(std::max(assignment.heartbeat_ms, 1));
+    request.liveness_timeout_ms =
+        static_cast<std::uint32_t>(std::max(assignment.liveness_timeout_ms, 1));
+    request.spec_text = assignment.spec_text;
+    const std::vector<std::uint8_t> bytes = encode_frame(request);
+    return write_all_deadline(fd_, bytes.data(), bytes.size(), deadline);
+  }
 
  private:
+  /// Waits for the child and describes how it ended.
+  std::string reap() {
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    pid_ = -1;
+    return describe_status(status);
+  }
+
   int fd_;
+  pid_t pid_;
 };
+
+/// Wraps a connected nonblocking socket in a channel and ships the
+/// attempt's request over it; a failed shipment aborts the channel.
+ShardStart start_session(int fd, pid_t pid, const ShardAssignment& assignment,
+                         Clock::time_point deadline, const std::string& endpoint) {
+  auto channel = std::make_unique<SocketShardChannel>(fd, pid);
+  ShardStart result;
+  const std::string error = channel->send_request(assignment, deadline);
+  if (!error.empty()) {
+    result.error = endpoint + ": failed shipping shard request (" + error + ", " +
+                   channel->abort() + ")";
+    return result;
+  }
+  result.channel = std::move(channel);
+  return result;
+}
 
 }  // namespace
 
@@ -220,8 +208,11 @@ class TcpShardChannel final : public ShardChannel {
 // ProcessShardTransport
 // ---------------------------------------------------------------------------
 
-ProcessShardTransport::ProcessShardTransport(std::size_t workers, std::string worker_command)
-    : workers_(workers), worker_command_(std::move(worker_command)) {
+ProcessShardTransport::ProcessShardTransport(std::size_t workers, std::string snapshot_dir,
+                                             std::string worker_command)
+    : workers_(workers),
+      snapshot_dir_(std::move(snapshot_dir)),
+      worker_command_(std::move(worker_command)) {
   if (workers_ == 0) {
     throw std::invalid_argument("ProcessShardTransport: workers must be >= 1");
   }
@@ -230,83 +221,42 @@ ProcessShardTransport::ProcessShardTransport(std::size_t workers, std::string wo
 ShardStart ProcessShardTransport::start(const ShardAssignment& assignment) {
   ShardStart result;
   const std::string command = worker_command_.empty() ? self_executable_path() : worker_command_;
-
-  int spec_pipe[2] = {-1, -1};
-  int frame_pipe[2] = {-1, -1};
-  if (::pipe(spec_pipe) != 0) {
-    result.error = std::string("pipe() failed: ") + std::strerror(errno);
+  // Close-on-exec keeps every other child from inheriting this attempt's
+  // end, so the child sees EOF the moment the coordinator closes it.
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    result.error = std::string("socketpair() failed: ") + std::strerror(errno);
     return result;
   }
-  if (::pipe(frame_pipe) != 0) {
-    result.error = std::string("pipe() failed: ") + std::strerror(errno);
-    close_fd(spec_pipe[0]);
-    close_fd(spec_pipe[1]);
-    return result;
+  std::vector<const char*> argv = {command.c_str(), "shard-server", "--stdio"};
+  if (!snapshot_dir_.empty()) {
+    argv.push_back("--snapshot-dir");
+    argv.push_back(snapshot_dir_.c_str());
   }
+  argv.push_back(nullptr);
 
   const pid_t pid = ::fork();
   if (pid < 0) {
     result.error = std::string("fork() failed: ") + std::strerror(errno);
-    for (int* fd : {&spec_pipe[0], &spec_pipe[1], &frame_pipe[0], &frame_pipe[1]}) close_fd(*fd);
+    close_fd(fds[0]);
+    close_fd(fds[1]);
     return result;
   }
   if (pid == 0) {
-    // Child: spec on stdin, frames on stdout, stderr passes through so
-    // worker error messages surface in the parent's diagnostics stream.
-    ::dup2(spec_pipe[0], STDIN_FILENO);
-    ::dup2(frame_pipe[1], STDOUT_FILENO);
-    for (const int fd : {spec_pipe[0], spec_pipe[1], frame_pipe[0], frame_pipe[1]}) ::close(fd);
-    ::setenv("LR_SWEEP_WORKER", "1", 1);
-    const std::string shard_arg = std::to_string(assignment.shard);
-    const std::string range_arg =
-        std::to_string(assignment.range.begin) + ":" + std::to_string(assignment.range.end);
-    const std::string total_arg = std::to_string(assignment.total);
-    const std::string attempt_arg = std::to_string(assignment.attempt);
-    const std::string threads_arg = std::to_string(assignment.threads);
-    const std::string cap_arg = std::to_string(assignment.cache_cap);
-    std::vector<const char*> argv = {command.c_str(),     "sweep-worker",
-                                     "--shard",           shard_arg.c_str(),
-                                     "--range",           range_arg.c_str(),
-                                     "--total",           total_arg.c_str(),
-                                     "--attempt",         attempt_arg.c_str(),
-                                     "--threads",         threads_arg.c_str(),
-                                     "--cache-cap",       cap_arg.c_str()};
-    if (!assignment.snapshot_dir.empty()) {
-      // Every shard maps the same snapshot files, so the kernel keeps one
-      // physical copy of each workload's pages across the worker fleet.
-      argv.push_back("--snapshot-dir");
-      argv.push_back(assignment.snapshot_dir.c_str());
-    }
-    argv.push_back(nullptr);
+    // Child: the socket on fd 0 (dup2 clears close-on-exec); stdout and
+    // stderr pass through so worker messages reach the parent's stderr.
+    ::dup2(fds[1], STDIN_FILENO);
+    ::fcntl(STDIN_FILENO, F_SETFD, 0);
     ::execv(command.c_str(), const_cast<char**>(argv.data()));
-    std::fprintf(stderr, "error: cannot exec sweep worker '%s': %s\n", command.c_str(),
+    std::fprintf(stderr, "error: cannot exec shard worker '%s': %s\n", command.c_str(),
                  std::strerror(errno));
     ::_exit(127);
   }
-
-  // Parent.
-  close_fd(spec_pipe[0]);
-  close_fd(frame_pipe[1]);
-  ::fcntl(frame_pipe[0], F_SETFL, O_NONBLOCK);
-  ::fcntl(spec_pipe[1], F_SETFL, O_NONBLOCK);
-
-  auto channel = std::make_unique<ProcessShardChannel>(pid, frame_pipe[0]);
-
-  // Ship the spec text; deadline-bounded so a worker that dies (or
-  // wedges) before reading its stdin becomes a per-shard failure, not a
-  // parent hang.  The worker reads stdin to EOF before emitting frames.
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(assignment.start_timeout_ms);
-  const std::string error = write_all_deadline(
-      spec_pipe[1], reinterpret_cast<const std::uint8_t*>(assignment.spec_text.data()),
-      assignment.spec_text.size(), deadline);
-  close_fd(spec_pipe[1]);
-  if (!error.empty()) {
-    result.error = "failed shipping sweep spec to worker (" + error + ", " + channel->abort() + ")";
-    return result;
-  }
-  result.channel = std::move(channel);
-  return result;
+  close_fd(fds[1]);
+  ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
+  return start_session(fds[0], pid, assignment,
+                       Clock::now() + std::chrono::milliseconds(assignment.start_timeout_ms),
+                       endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,12 +294,12 @@ ShardStart TcpShardTransport::start(const ShardAssignment& assignment) {
   int fd = -1;
   std::string last_error = "no addresses";
   for (struct addrinfo* address = addresses; address != nullptr; address = address->ai_next) {
-    fd = ::socket(address->ai_family, address->ai_socktype, address->ai_protocol);
+    fd = ::socket(address->ai_family, address->ai_socktype | SOCK_CLOEXEC | SOCK_NONBLOCK,
+                  address->ai_protocol);
     if (fd < 0) {
       last_error = std::string("socket: ") + std::strerror(errno);
       continue;
     }
-    ::fcntl(fd, F_SETFL, O_NONBLOCK);
     if (::connect(fd, address->ai_addr, address->ai_addrlen) == 0) break;
     if (errno == EINPROGRESS) {
       // Nonblocking connect: poll for writability, then read SO_ERROR —
@@ -381,30 +331,7 @@ ShardStart TcpShardTransport::start(const ShardAssignment& assignment) {
   // don't let Nagle batch them against delayed ACKs.
   int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-
-  auto channel = std::make_unique<TcpShardChannel>(fd);
-
-  ShardRequestFrame request;
-  request.shard = assignment.shard;
-  request.begin = assignment.range.begin;
-  request.end = assignment.range.end;
-  request.total = assignment.total;
-  request.attempt = assignment.attempt;
-  request.threads = assignment.threads;
-  request.cache_cap = assignment.cache_cap;
-  request.heartbeat_ms = static_cast<std::uint32_t>(std::max(assignment.heartbeat_ms, 1));
-  request.liveness_timeout_ms =
-      static_cast<std::uint32_t>(std::max(assignment.liveness_timeout_ms, 1));
-  request.spec_text = assignment.spec_text;
-  const std::vector<std::uint8_t> bytes = encode_frame(request);
-  const std::string error = write_all_deadline(fd, bytes.data(), bytes.size(), deadline);
-  if (!error.empty()) {
-    result.error = endpoint_ + ": failed shipping shard request (" + error + ")";
-    channel->abort();
-    return result;
-  }
-  result.channel = std::move(channel);
-  return result;
+  return start_session(fd, -1, assignment, deadline, endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -524,7 +451,7 @@ class FaultyChannel final : public ShardChannel {
       // A never-readable fd the coordinator can park its poll() on once
       // the stream goes silent, so the watchdog fires on schedule
       // instead of the loop spinning hot.
-      if (::pipe(stall_pipe_) != 0) stall_pipe_[0] = stall_pipe_[1] = -1;
+      if (::pipe2(stall_pipe_, O_CLOEXEC) != 0) stall_pipe_[0] = stall_pipe_[1] = -1;
     }
   }
 

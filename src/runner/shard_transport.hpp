@@ -9,23 +9,23 @@
 /// \file shard_transport.hpp
 /// The transport abstraction of the sharded sweep dataplane: how a
 /// coordinator (runner/shard_coordinator.hpp) reaches the workers that
-/// execute its shards.  The shard/merge/retry contracts are
-/// transport-agnostic by design — a transport only has to (1) start a
-/// shard attempt somewhere and (2) hand back a pollable byte stream
-/// speaking the shard protocol (runner/shard_protocol.hpp).  Two
-/// implementations ship:
+/// execute its shards.  A transport only has to (1) start a shard
+/// attempt somewhere and (2) hand back a pollable socket speaking the
+/// shard protocol (runner/shard_protocol.hpp).  Every attempt ships the
+/// same v3 kShardRequest and is served by the same session function
+/// (runner/shard_server.hpp); two transports differ only in how the
+/// socket comes to exist:
 ///
-///   - ProcessShardTransport: fork/exec of shared-nothing `sweep-worker`
-///     child processes over pipes (the PR-6 dataplane, extracted here),
-///   - TcpShardTransport: TCP connections to remote `shard-server`
-///     daemons (runner/shard_server.hpp), with heartbeat liveness in
-///     both directions,
+///   - ProcessShardTransport: a socketpair to a fresh fork/exec'd
+///     `shard-server --stdio` child of this process per attempt,
+///   - TcpShardTransport: a TCP connection to a remote `shard-server
+///     --listen` daemon,
 ///
 /// plus FaultyTransport, a deterministic fault-injection decorator that
 /// wraps any transport and corrupts / drops / stalls / delays the byte
 /// stream of a chosen shard's first attempts — the network half of the
-/// LR_TEST_WORKER_FAULT battery (process_runner.hpp documents the
-/// worker-process half).
+/// fault battery (shard_server.hpp documents the worker-process half,
+/// LR_TEST_WORKER_FAULT).
 
 namespace lr {
 
@@ -73,8 +73,8 @@ struct ShardDiagnostics {
 };
 
 /// Everything a transport needs to start one shard attempt: the
-/// assignment itself plus the worker-side execution knobs, mirroring the
-/// `sweep-worker` argv/stdin contract and the v3 kShardRequest frame.
+/// assignment itself plus the worker-side execution knobs, i.e. the
+/// fields of the v3 kShardRequest frame plus the start budget.
 struct ShardAssignment {
   std::size_t shard = 0;     ///< shard index being assigned
   ShardRange range;          ///< global run range [begin, end)
@@ -83,7 +83,6 @@ struct ShardAssignment {
   std::string spec_text;     ///< canonical sweep spec (format_sweep_spec)
   std::size_t threads = 1;   ///< worker-internal thread count
   std::size_t cache_cap = 0;  ///< worker SweepCache LRU bound (0 = unbounded)
-  std::string snapshot_dir;  ///< worker snapshot dir (pipe transport only)
   int start_timeout_ms = 5'000;     ///< budget for connect + assignment shipping
   int heartbeat_ms = 1'000;         ///< worker liveness beacon interval
   int liveness_timeout_ms = 30'000;  ///< worker-side coordinator watchdog
@@ -104,8 +103,8 @@ struct ChannelRead {
 };
 
 /// One live shard attempt's byte stream, as the coordinator consumes it.
-/// The channel owns the underlying resource (pipe + child process, or
-/// socket); exactly one of abort() / complete() must be called before
+/// The channel owns its socket and, for a local worker, the child
+/// process; exactly one of abort() / complete() must be called before
 /// destruction ends the attempt implicitly (destructors abort).
 class ShardChannel {
  public:
@@ -120,7 +119,6 @@ class ShardChannel {
   /// Sends a coordinator -> worker liveness beacon.  Returns an empty
   /// string on success, else a failure description (the coordinator
   /// treats a failed heartbeat like any other channel failure).
-  /// Transports with implicit liveness (a pipe to our own child) no-op.
   virtual std::string send_heartbeat(std::uint64_t sequence) = 0;
 
   /// Abandons the attempt — kills / disconnects the worker and releases
@@ -141,7 +139,7 @@ struct ShardStart {
 
 /// A place that can execute shard attempts: a factory of ShardChannels.
 /// `capacity()` is how many attempts the coordinator may run there
-/// concurrently (worker processes for the pipe transport, connections
+/// concurrently (child processes for the local transport, connections
 /// for a TCP host).
 class ShardTransport {
  public:
@@ -162,19 +160,22 @@ class ShardTransport {
   virtual ShardStart start(const ShardAssignment& assignment) = 0;
 };
 
-/// The fork/exec pipe transport (the PR-6 dataplane): every start() is a
-/// fresh shared-nothing `sweep-worker` child of this process, its
-/// assignment shipped via argv + stdin and its frames read from a
-/// nonblocking stdout pipe.  Crash isolation is the process boundary;
-/// liveness is implicit (a dead child is an EOF), so send_heartbeat() is
-/// a no-op.
+/// The local transport: every start() fork/execs a fresh shared-nothing
+/// `<worker_command> shard-server --stdio [--snapshot-dir D]` child with
+/// one end of a socketpair on its fd 0, ships the kShardRequest over the
+/// other, and returns that end as the channel.  Crash isolation is the
+/// process boundary: one process per attempt, killed and reaped by the
+/// channel.
 class ProcessShardTransport : public ShardTransport {
  public:
-  /// `worker_command` is the executable fork/exec'd as
-  /// `<worker_command> sweep-worker ...`; empty means this process's own
-  /// binary (/proc/self/exe).  `workers` is the concurrent-attempt
-  /// capacity.
-  explicit ProcessShardTransport(std::size_t workers, std::string worker_command = {});
+  /// `workers` is the concurrent-attempt capacity; `snapshot_dir` is
+  /// forwarded to every child (empty = none), so all shards mmap the
+  /// same snapshot files.  `worker_command` is the executable to
+  /// fork/exec; empty means this process's own binary (/proc/self/exe),
+  /// so any binary that forwards its `shard-server` argv to
+  /// shard_server_main() hosts its own workers.
+  explicit ProcessShardTransport(std::size_t workers, std::string snapshot_dir = {},
+                                 std::string worker_command = {});
 
   const std::string& endpoint() const noexcept override { return endpoint_; }
   std::size_t capacity() const noexcept override { return workers_; }
@@ -182,16 +183,14 @@ class ProcessShardTransport : public ShardTransport {
 
  private:
   std::size_t workers_;
+  std::string snapshot_dir_;
   std::string worker_command_;  ///< empty = resolve /proc/self/exe lazily
   std::string endpoint_ = "process";
 };
 
 /// One remote `shard-server` endpoint (runner/shard_server.hpp): every
 /// start() opens a fresh TCP connection, ships a v3 kShardRequest, and
-/// returns the socket as the channel.  Heartbeats flow both ways; the
-/// coordinator's inactivity watchdog and the server's coordinator
-/// watchdog bound every partial-failure mode (drop, partition, stall)
-/// to a deadline.
+/// returns the socket as the channel.
 class TcpShardTransport : public ShardTransport {
  public:
   /// Endpoint `host:port` with `workers` concurrent connections.
@@ -271,7 +270,7 @@ class FaultyTransport : public ShardTransport {
 
 /// Restores the previous SIGPIPE disposition on scope exit.  A shard
 /// coordinator ignores SIGPIPE while attempts live so a write to a dead
-/// worker's stdin or socket fails with EPIPE (a per-shard failure)
+/// worker's socket fails with EPIPE (a per-shard failure)
 /// instead of killing the whole sweep.
 class SigpipeGuard {
  public:

@@ -212,16 +212,16 @@ std::string write_small_sweep_spec(const char* name) {
   return spec_path;
 }
 
-TEST_F(CliIntegrationTest, SweepWorkerRejectsDirectInvocation) {
-  // The sweep-worker subcommand is an internal argv contract between a
-  // ProcessShardRunner parent and its children; invoked by a human (no
-  // LR_SWEEP_WORKER handshake in the environment) it must refuse with a
-  // clear pointer at the public flag instead of emitting binary frames.
-  const auto result = run_command("sweep-worker --shard 0 --range 0:1 --total 1 --attempt 1");
+TEST_F(CliIntegrationTest, ShardServerStdioRejectsNonSocket) {
+  // `shard-server --stdio` serves one shard session over the socketpair a
+  // `sweep --processes` parent puts on its fd 0; started by a human with a
+  // file there instead, it must refuse with a usage message rather than
+  // wait for a request or emit binary frames.
+  const auto result = run_command("shard-server --stdio < /dev/null");
   EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("internal"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("socket on fd 0"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("--processes"), std::string::npos) << result.output;
-  // Bare invocation too, not just one with plausible-looking flags.
+  // The worker has no other internal entry point.
   EXPECT_EQ(run_command("sweep-worker").exit_code, 2);
 }
 
@@ -435,6 +435,8 @@ TEST_F(CliIntegrationTest, ShardServerArgvValidation) {
   EXPECT_EQ(run_command("shard-server --listen a_port").exit_code, 2);
   EXPECT_EQ(run_command("shard-server --listen").exit_code, 2);
   EXPECT_EQ(run_command("shard-server --listen 9000 --unknown x").exit_code, 2);
+  EXPECT_EQ(run_command("shard-server --stdio --listen 9000").exit_code, 2);
+  EXPECT_EQ(run_command("shard-server --listen 9000 --snapshot-dir /tmp").exit_code, 2);
 }
 
 /// Fork/execs a real `lr_cli shard-server --listen <port>` daemon and

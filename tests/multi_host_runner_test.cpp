@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "runner/process_runner.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard_protocol.hpp"
@@ -32,12 +31,12 @@
 /// sessions against in-process ShardServers must merge byte-identically
 /// to the in-process ScenarioRunner at every host/worker count, recover
 /// from every injected network fault class within the retry budget,
-/// reassign a dead host's shards to survivors, fall back to local
-/// worker processes when every host dies, and reject protocol version
-/// skew loudly in both directions — and no configuration may hang.
+/// reassign a dead host's shards to survivors (remote or local), and
+/// reject protocol version skew loudly in both directions — and no
+/// configuration may hang.
 ///
-/// The test binary is its own `sweep-worker` (main() below forwards the
-/// subcommand), because the local-fallback battery fork/execs it.
+/// The test binary is its own `shard-server` (main() below forwards the
+/// subcommand), because the local-endpoint battery fork/execs it.
 
 namespace lr {
 namespace {
@@ -121,7 +120,7 @@ std::vector<HostSpec> hosts_of(const std::vector<std::unique_ptr<ShardServer>>& 
 
 /// A loopback port with nothing listening on it: bound, inspected, and
 /// closed, so connects are refused (the "host that is already dead"
-/// staging used by the reassignment and fallback batteries).
+/// staging used by the reassignment batteries).
 std::uint16_t dead_port() {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -146,11 +145,10 @@ TEST(MultiHostRunner, ByteIdenticalAcrossHostAndWorkerCounts) {
   const std::string expected = in_process_tables(sweep);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     const auto servers = start_servers(2);
-    MultiHostShardRunner runner({.threads = 1}, hosts_of(servers, workers));
+    ShardRunner runner({.threads = 1}, hosts_of(servers, workers));
     EXPECT_EQ(runner.total_workers(), 2 * workers);
     const SweepReport report = runner.run(sweep);
     EXPECT_EQ(tables_of(report), expected) << workers << " worker(s) per host";
-    EXPECT_FALSE(runner.fallback_engaged());
     for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
       EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
       EXPECT_EQ(diag.attempts, 1u) << "shard " << diag.shard;
@@ -166,7 +164,7 @@ TEST(MultiHostRunner, WorkerThreadsInsideHostsKeepTablesIdentical) {
   const SweepSpec sweep = small_sweep();
   const std::string expected = in_process_tables(sweep);
   const auto servers = start_servers(2);
-  MultiHostShardRunner runner({.threads = 2}, hosts_of(servers, 2));
+  ShardRunner runner({.threads = 2}, hosts_of(servers, 2));
   EXPECT_EQ(tables_of(runner.run(sweep)), expected);
 }
 
@@ -190,7 +188,7 @@ TEST_P(MultiHostFaultBattery, RecoversWithinBudgetAndStaysByteIdentical) {
   // Short watchdog so the heartbeat-stall case fires in test time.
   const ScopedEnv watchdog("LR_TEST_WORKER_TIMEOUT_MS", "400");
   const auto servers = start_servers(2);
-  MultiHostShardRunner runner({.threads = 1}, hosts_of(servers, 2));
+  ShardRunner runner({.threads = 1}, hosts_of(servers, 2));
   const SweepReport report = runner.run(sweep);
   EXPECT_EQ(tables_of(report), expected) << fault.knob;
   const auto& diagnostics = runner.shard_diagnostics();
@@ -245,7 +243,7 @@ TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
   const auto servers = start_servers(2);
   RunnerOptions options{.threads = 1};
   options.worker_retries = 1;
-  MultiHostShardRunner runner(options, hosts_of(servers, 2));
+  ShardRunner runner(options, hosts_of(servers, 2));
   try {
     runner.run(sweep);
     FAIL() << "budget exhaustion must throw";
@@ -263,7 +261,7 @@ TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
 }
 
 // ---------------------------------------------------------------------------
-// Host death: reassignment, fallback, loud all-dead failure
+// Host death: reassignment, local endpoint, loud all-dead failure
 // ---------------------------------------------------------------------------
 
 TEST(MultiHostRunner, DeadHostShardsReassignToSurvivor) {
@@ -272,10 +270,9 @@ TEST(MultiHostRunner, DeadHostShardsReassignToSurvivor) {
   const auto servers = start_servers(1);
   std::vector<HostSpec> hosts = hosts_of(servers, 2);
   hosts.push_back({"127.0.0.1", dead_port(), 2});
-  MultiHostShardRunner runner({.threads = 1}, hosts);
+  ShardRunner runner({.threads = 1}, hosts);
   const SweepReport report = runner.run(sweep);
   EXPECT_EQ(tables_of(report), expected);
-  EXPECT_FALSE(runner.fallback_engaged());
   bool any_refused = false;
   for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
     EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
@@ -298,7 +295,7 @@ TEST(MultiHostRunner, HostStoppedMidRunIsRecoveredFrom) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     servers[1]->stop();  // coordinators observe dropped connections
   });
-  MultiHostShardRunner runner({.threads = 1}, hosts_of(servers, 2));
+  ShardRunner runner({.threads = 1}, hosts_of(servers, 2));
   const SweepReport report = runner.run(sweep);
   killer.join();
   EXPECT_EQ(tables_of(report), expected);
@@ -308,30 +305,36 @@ TEST(MultiHostRunner, HostStoppedMidRunIsRecoveredFrom) {
 }
 
 TEST(MultiHostRunner, AllHostsDeadEngagesLocalProcessFallback) {
+  // Every host is dead from the start; the local endpoint, which takes
+  // shards alongside the hosts, inherits their shards and finishes the
+  // sweep byte-identically.
   const SweepSpec sweep = small_sweep();
   const std::string expected = in_process_tables(sweep);
   std::vector<HostSpec> hosts = {{"127.0.0.1", dead_port(), 2},
                                  {"127.0.0.1", dead_port(), 2}};
   RunnerOptions options{.threads = 1};
-  options.process_workers = 2;  // arms the local fork/exec fallback
-  MultiHostShardRunner runner(options, hosts);
+  options.process_workers = 2;  // the local endpoint
+  ShardRunner runner(options, hosts);
+  EXPECT_EQ(runner.total_workers(), 6u);
   const SweepReport report = runner.run(sweep);
   EXPECT_EQ(tables_of(report), expected);
-  EXPECT_TRUE(runner.fallback_engaged());
+  std::size_t refused = 0;
   for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
     EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
     ASSERT_FALSE(diag.attempt_log.empty());
     EXPECT_EQ(diag.attempt_log.back().endpoint, "process");
+    refused += diag.failures.size();
   }
+  EXPECT_GE(refused, 4u);  // both hosts were tried until declared dead
 }
 
 TEST(MultiHostRunner, AllHostsDeadWithoutFallbackFailsLoudly) {
   const SweepSpec sweep = small_sweep();
   std::vector<HostSpec> hosts = {{"127.0.0.1", dead_port(), 2}};
-  MultiHostShardRunner runner({.threads = 1}, hosts);
+  ShardRunner runner({.threads = 1}, hosts);
   try {
     runner.run(sweep);
-    FAIL() << "an all-dead deployment with no fallback must throw";
+    FAIL() << "an all-dead deployment with no local endpoint must throw";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("multi-host sweep failed"), std::string::npos) << what;
@@ -340,7 +343,7 @@ TEST(MultiHostRunner, AllHostsDeadWithoutFallbackFailsLoudly) {
 }
 
 TEST(MultiHostRunner, EmptyHostListRejected) {
-  EXPECT_THROW(MultiHostShardRunner({.threads = 1}, {}), std::invalid_argument);
+  EXPECT_THROW(ShardRunner({.threads = 1}, {}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +437,7 @@ TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
   const SweepSpec sweep = small_sweep();
   RunnerOptions options{.threads = 1};
   options.worker_retries = 0;  // one attempt: the skew itself must surface
-  MultiHostShardRunner runner(options, {{"127.0.0.1", port, 1}});
+  ShardRunner runner(options, {{"127.0.0.1", port, 1}});
   try {
     runner.run(sweep);
     stop.store(true);
@@ -503,8 +506,8 @@ TEST(MultiHostRunner, ServerRefusalNamesTheCauseInDiagnostics) {
 }  // namespace lr
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "sweep-worker") {
-    return lr::sweep_worker_main(argc, argv);
+  if (argc > 1 && std::string(argv[1]) == "shard-server") {
+    return lr::shard_server_main(argc, argv);
   }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

@@ -1,5 +1,3 @@
-#include "runner/process_runner.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,18 +8,21 @@
 
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "runner/shard_coordinator.hpp"
+#include "runner/shard_server.hpp"
 #include "trace/report.hpp"
 
-/// Acceptance battery of the multi-process sweep backend
-/// (runner/process_runner.hpp): shard partitioning, spec round-trip,
+/// Acceptance battery of the `--processes` sweep backend (ShardRunner
+/// over one local endpoint, runner/shard_coordinator.hpp): shard
+/// partitioning, spec round-trip,
 /// byte-identical merges at every worker count (including sweeps that
 /// exercise the engine / sim parallelism knobs), and the fault-injection
 /// battery — each of exit / segv / truncate / stall must recover via a
 /// retry with identical tables, and an unrecoverable fault must fail
 /// loudly with per-shard diagnostics, never hang or drop runs.
 ///
-/// The test binary is its own sweep worker: main() below forwards a
-/// `sweep-worker` argv[1] straight to sweep_worker_main(), which is the
+/// The test binary is its own shard worker: main() below forwards a
+/// `shard-server` argv[1] straight to shard_server_main(), which is the
 /// same self-hosting arrangement lr_cli and bench_e7 use.
 
 namespace lr {
@@ -146,21 +147,26 @@ TEST(FormatSweepSpec, RoundTripsThroughTheParser) {
 }
 
 TEST(ProcessShardRunner, RejectsZeroWorkers) {
-  EXPECT_THROW(ProcessShardRunner({.process_workers = 0}), std::invalid_argument);
+  EXPECT_THROW(ShardRunner({.process_workers = 0}), std::invalid_argument);
 }
 
 TEST(ProcessShardRunner, ClampsWorkersToRunCount) {
-  const ProcessShardRunner runner({.process_workers = 64});
-  EXPECT_EQ(runner.resolved_workers(3), 3u);
-  EXPECT_EQ(runner.resolved_workers(100), 64u);
-  EXPECT_EQ(runner.resolved_workers(0), 0u);
+  ShardRunner runner({.threads = 1, .process_workers = 64});
+  EXPECT_EQ(runner.total_workers(), 64u);
+  SweepSpec sweep = small_sweep();
+  sweep.topologies = {TopologyKind::kChain};
+  sweep.sizes = {8};
+  sweep.seeds = {1};  // 3 runs: one shard per run, never an empty one
+  const std::string baseline = in_process_tables(sweep);
+  EXPECT_EQ(tables_of(runner.run(sweep)), baseline);
+  EXPECT_EQ(runner.shard_diagnostics().size(), 3u);
 }
 
 TEST(ProcessShardRunner, TablesAreByteIdenticalAtEveryWorkerCount) {
   const SweepSpec sweep = small_sweep();
   const std::string baseline = in_process_tables(sweep);
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    ProcessShardRunner runner({.threads = 1, .process_workers = workers});
+    ShardRunner runner({.threads = 1, .process_workers = workers});
     const SweepReport report = runner.run(sweep);
     EXPECT_EQ(tables_of(report), baseline) << workers << " workers";
     // Every shard completed on its first attempt.
@@ -176,7 +182,7 @@ TEST(ProcessShardRunner, ParallelismKnobsDoNotPerturbTheMerge) {
   const SweepSpec sweep = parallel_knobs_sweep();
   const std::string baseline = in_process_tables(sweep);
   for (const std::size_t workers : {2u, 4u}) {
-    ProcessShardRunner runner({.threads = 2, .process_workers = workers});
+    ShardRunner runner({.threads = 2, .process_workers = workers});
     EXPECT_EQ(tables_of(runner.run(sweep)), baseline) << workers << " workers";
   }
 }
@@ -184,7 +190,7 @@ TEST(ProcessShardRunner, ParallelismKnobsDoNotPerturbTheMerge) {
 TEST(ProcessShardRunner, EmptySweepYieldsEmptyReport) {
   SweepSpec sweep = small_sweep();
   sweep.seeds.clear();  // run_count() == 0
-  ProcessShardRunner runner({.process_workers = 4});
+  ShardRunner runner({.process_workers = 4});
   const SweepReport report = runner.run(sweep);
   EXPECT_TRUE(report.records.empty());
   EXPECT_TRUE(runner.shard_diagnostics().empty());
@@ -192,7 +198,7 @@ TEST(ProcessShardRunner, EmptySweepYieldsEmptyReport) {
 
 TEST(ProcessShardRunner, MergedCacheStatsCoverEveryRun) {
   const SweepSpec sweep = small_sweep();
-  ProcessShardRunner runner({.threads = 1, .process_workers = 3});
+  ShardRunner runner({.threads = 1, .process_workers = 3});
   const SweepReport report = runner.run(sweep);
   // Every CSR-path run consults its worker's cache exactly once, and the
   // parent sums the per-worker counters.
@@ -221,7 +227,7 @@ TEST_P(WorkerFaultRecovery, RetriesOnceAndMergesIdentically) {
   // test fast with a short deadline (generous enough for a real frame).
   const ScopedEnv timeout("LR_TEST_WORKER_TIMEOUT_MS", "1500");
 
-  ProcessShardRunner runner({.threads = 1, .process_workers = 4, .worker_retries = 2});
+  ShardRunner runner({.threads = 1, .process_workers = 4, .worker_retries = 2});
   const SweepReport report = runner.run(sweep);
   EXPECT_EQ(tables_of(report), baseline) << "fault kind " << kind;
 
@@ -250,7 +256,7 @@ TEST(WorkerFaultExhaustion, BoundedRetriesThenLoudFailure) {
   // Fault every attempt (99 >> retry budget) on shard 1.
   const ScopedEnv fault("LR_TEST_WORKER_FAULT", "exit:1:99");
 
-  ProcessShardRunner runner({.threads = 1, .process_workers = 4, .worker_retries = 1});
+  ShardRunner runner({.threads = 1, .process_workers = 4, .worker_retries = 1});
   try {
     runner.run(sweep);
     FAIL() << "a shard faulting on every attempt must fail the sweep";
@@ -277,7 +283,7 @@ TEST(WorkerFaultExhaustion, StallFaultNeverHangsTheSweep) {
   const SweepSpec sweep = small_sweep();
   const ScopedEnv fault("LR_TEST_WORKER_FAULT", "stall:0:99");
   const ScopedEnv timeout("LR_TEST_WORKER_TIMEOUT_MS", "400");
-  ProcessShardRunner runner({.threads = 1, .process_workers = 2, .worker_retries = 1});
+  ShardRunner runner({.threads = 1, .process_workers = 2, .worker_retries = 1});
   // Two stalled attempts at ~400 ms each: the sweep must fail within the
   // watchdog budget rather than waiting on the wedged workers forever.
   EXPECT_THROW(runner.run(sweep), std::runtime_error);
@@ -295,19 +301,19 @@ TEST(WorkerFaultRecoveryUnderLoad, MidSweepCrashStillMergesByteIdentically) {
   const SweepSpec sweep = parallel_knobs_sweep();
   const std::string baseline = in_process_tables(sweep);
   const ScopedEnv fault("LR_TEST_WORKER_FAULT", "segv:0");
-  ProcessShardRunner runner({.threads = 2, .process_workers = 2, .worker_retries = 2});
+  ShardRunner runner({.threads = 2, .process_workers = 2, .worker_retries = 2});
   EXPECT_EQ(tables_of(runner.run(sweep)), baseline);
 }
 
 }  // namespace
 }  // namespace lr
 
-/// Self-hosting worker dispatch: ProcessShardRunner fork/execs this very
-/// binary as `<test> sweep-worker ...` (worker_command defaults to
+/// Self-hosting worker dispatch: the local endpoint fork/execs this very
+/// binary as `<test> shard-server --stdio` (worker_command defaults to
 /// /proc/self/exe), so forward that argv before gtest sees it.
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "sweep-worker") {
-    return lr::sweep_worker_main(argc, argv);
+  if (argc > 1 && std::string(argv[1]) == "shard-server") {
+    return lr::shard_server_main(argc, argv);
   }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

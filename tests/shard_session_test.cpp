@@ -1,0 +1,272 @@
+#include <gtest/gtest.h>
+
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "runner/shard_protocol.hpp"
+#include "runner/shard_server.hpp"
+
+/// Seed-loop fuzz of the one shard-request decoder every worker runs
+/// (serve_shard_session, runner/shard_server.hpp), driven in-process over
+/// a socketpair exactly as a `shard-server --stdio` child is.  Mutated,
+/// truncated and version-skewed kShardRequest frames, garbled spec text,
+/// out-of-contract first frames and raw garbage must each end the
+/// session with a kShardError, or with an accepted hello that the
+/// session abandons as soon as its coordinator hangs up — within the
+/// request deadline, never a crash or a hang.  Runs under the ASan+UBSan
+/// and TSan CI jobs like every other suite.
+
+namespace lr {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+constexpr int kRequestTimeoutMs = 150;
+
+/// A one-run sweep: cheap enough that a garbled-but-valid request which
+/// the session accepts finishes its chunk immediately.
+const char* const kSpecText = "topology = chain\nsize = 6\nalgorithm = fr\nseed = 1\n";
+
+ShardRequestFrame valid_request() {
+  ShardRequestFrame request;
+  request.begin = 0;
+  request.end = 1;
+  request.total = 1;
+  request.threads = 1;
+  request.heartbeat_ms = 50;
+  request.liveness_timeout_ms = 2'000;
+  request.spec_text = kSpecText;
+  return request;
+}
+
+/// How one session ended, from the coordinator's side of the socket.
+struct Outcome {
+  bool refused = false;     ///< a kShardError arrived
+  bool accepted = false;    ///< a kHello arrived
+  bool shard_done = false;  ///< a kShardDone arrived
+  bool ended = false;       ///< serve_shard_session returned within the bound
+  std::string refusal;      ///< the kShardError message
+  std::string protocol_error;  ///< the session sent bytes that do not parse
+};
+
+/// Feeds `bytes` to a fresh session over a socketpair, then — when
+/// `hang_up` — half-closes the coordinator end so the session sees EOF.
+/// Reads the session's answer until a kShardError, a kHello (after which
+/// the coordinator end is closed, unless `finish` asks to read on to the
+/// shard-done frame) or the bound passes, then checks the session
+/// function returned.  A session still running at the bound is cancelled
+/// so the test reports instead of hanging.
+Outcome feed_session(const std::vector<std::uint8_t>& bytes, bool hang_up, bool finish = false) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  ShardSession session(fds[1]);
+  ShardSessionOptions options;
+  options.request_timeout_ms = kRequestTimeoutMs;
+  std::atomic<bool> returned{false};
+  std::thread server([&] {
+    serve_shard_session(session, options);
+    returned.store(true);
+  });
+
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fds[0], bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the session already refused and shut down
+    sent += static_cast<std::size_t>(n);
+  }
+  if (hang_up) ::shutdown(fds[0], SHUT_WR);
+
+  Outcome outcome;
+  const Clock::time_point bound =
+      Clock::now() + std::chrono::milliseconds(kRequestTimeoutMs + 5'000);
+  FrameParser parser;
+  bool reading = true;
+  while (reading && Clock::now() < bound) {
+    pollfd item{fds[0], POLLIN, 0};
+    if (::poll(&item, 1, 20) <= 0) continue;
+    std::uint8_t buffer[4096];
+    const ssize_t n = ::recv(fds[0], buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    try {
+      parser.feed(buffer, static_cast<std::size_t>(n));
+      while (auto frame = parser.next()) {
+        if (frame->type == FrameType::kShardError) {
+          outcome.refused = true;
+          outcome.refusal = frame->error.message;
+          reading = false;
+        } else if (frame->type == FrameType::kHello) {
+          outcome.accepted = true;
+          reading = finish;
+        } else if (frame->type == FrameType::kShardDone) {
+          outcome.shard_done = true;
+          reading = false;
+        }
+      }
+    } catch (const ShardProtocolError& error) {
+      outcome.protocol_error = error.what();
+      reading = false;
+    }
+  }
+  // The coordinator goes away: an accepted session must notice and end.
+  ::close(fds[0]);
+  while (!returned.load() && Clock::now() < bound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  outcome.ended = returned.load();
+  if (!outcome.ended) session.cancel();
+  server.join();
+  ::close(fds[1]);
+  return outcome;
+}
+
+/// The invariant every fuzz case must satisfy.
+void expect_clean_end(const Outcome& outcome, const std::string& context) {
+  EXPECT_TRUE(outcome.ended) << context << ": session still running past the bound";
+  EXPECT_TRUE(outcome.protocol_error.empty()) << context << ": " << outcome.protocol_error;
+  EXPECT_TRUE(outcome.refused || outcome.accepted) << context << ": ended without a word";
+}
+
+TEST(ShardSession, ValidRequestRunsTheShardOverASocketpair) {
+  const Outcome outcome = feed_session(encode_frame(valid_request()), false, true);
+  EXPECT_TRUE(outcome.accepted);
+  EXPECT_TRUE(outcome.shard_done);
+  EXPECT_FALSE(outcome.refused) << outcome.refusal;
+  EXPECT_TRUE(outcome.ended);
+}
+
+TEST(ShardSession, SilentCoordinatorIsRefusedAtTheRequestDeadline) {
+  const Clock::time_point start = Clock::now();
+  const Outcome outcome = feed_session({}, false);
+  expect_clean_end(outcome, "silent");
+  EXPECT_NE(outcome.refusal.find("no shard request within"), std::string::npos)
+      << outcome.refusal;
+  // Not before the deadline (less the session's millisecond rounding).
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(kRequestTimeoutMs - 2));
+}
+
+TEST(ShardSession, FuzzMutatedRequestFramesAreRefused) {
+  const std::vector<std::uint8_t> valid = encode_frame(valid_request());
+  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint8_t> bytes = valid;
+    const std::size_t flips = 1 + seed % 3;
+    for (std::size_t i = 0; i < flips; ++i) {
+      bytes[rng() % bytes.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+    }
+    // Most cases hang up after writing; every tenth stays connected, so a
+    // mutated length field that leaves the frame incomplete must still
+    // end at the request deadline.
+    const Outcome outcome = feed_session(bytes, seed % 10 != 0);
+    expect_clean_end(outcome, "mutation seed " + std::to_string(seed));
+    EXPECT_TRUE(outcome.refused) << "mutation seed " << seed << " was accepted";
+  }
+}
+
+TEST(ShardSession, FuzzTruncatedRequestFramesAreRefused) {
+  const std::vector<std::uint8_t> valid = encode_frame(valid_request());
+  for (std::size_t cut = 0; cut < valid.size(); cut += 1 + cut / 8) {
+    const std::vector<std::uint8_t> bytes(valid.begin(),
+                                          valid.begin() + static_cast<std::ptrdiff_t>(cut));
+    const Outcome outcome = feed_session(bytes, cut % 5 != 3);
+    expect_clean_end(outcome, "cut at " + std::to_string(cut));
+    EXPECT_TRUE(outcome.refused) << "cut at " << cut;
+  }
+}
+
+TEST(ShardSession, VersionSkewedRequestsAreRefusedByName) {
+  for (const std::uint32_t version : {0u, 1u, 2u, 4u, 0xffffffffu}) {
+    ShardRequestFrame request = valid_request();
+    request.version = version;
+    const Outcome outcome = feed_session(encode_frame(request), false);
+    expect_clean_end(outcome, "version " + std::to_string(version));
+    EXPECT_NE(outcome.refusal.find("protocol version mismatch"), std::string::npos)
+        << outcome.refusal;
+  }
+}
+
+TEST(ShardSession, OutOfContractRequestsAreRefused) {
+  std::vector<ShardRequestFrame> requests(5, valid_request());
+  requests[0].total = 2;                      // run-count claim disagrees
+  requests[1].begin = 1;                      // begin > end
+  requests[1].end = 0;
+  requests[2].end = 2;                        // range past the sweep
+  requests[3].spec_text = "";                 // nothing to expand
+  requests[4].spec_text = "size = 1..1000000\nseed = 1..1000000\ntopology = chain\n"
+                          "algorithm = fr\n";  // huge sweep, tiny claim
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Outcome outcome = feed_session(encode_frame(requests[i]), false);
+    expect_clean_end(outcome, "request " + std::to_string(i));
+    EXPECT_TRUE(outcome.refused) << "request " << i;
+  }
+  // Any other frame type first is refused too.
+  HelloFrame hello;
+  HeartbeatFrame beacon;
+  beacon.from_coordinator = 1;
+  ShardErrorFrame error;
+  error.message = "not a request";
+  for (const auto& bytes : {encode_frame(hello), encode_frame(beacon), encode_frame(error)}) {
+    const Outcome outcome = feed_session(bytes, false);
+    expect_clean_end(outcome, "wrong first frame");
+    EXPECT_NE(outcome.refusal.find("first frame must be a shard request"), std::string::npos)
+        << outcome.refusal;
+  }
+}
+
+TEST(ShardSession, FuzzGarbledSpecTextEndsCleanly) {
+  const std::string printable =
+      "abcdefghijklmnopqrstuvwxyz0123456789 =,.\n#-_:*ABCXYZ\t\x7f\x01\xff";
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    std::mt19937_64 rng(1000 + seed);
+    ShardRequestFrame request = valid_request();
+    std::string& text = request.spec_text;
+    switch (seed % 4) {
+      case 0:  // overwrite one byte
+        text[rng() % text.size()] = printable[rng() % printable.size()];
+        break;
+      case 1:  // insert one byte
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(rng() % (text.size() + 1)),
+                    printable[rng() % printable.size()]);
+        break;
+      case 2:  // truncate
+        text.resize(rng() % text.size());
+        break;
+      default:  // swap two lines' worth of bytes
+        std::swap(text[rng() % text.size()], text[rng() % text.size()]);
+        break;
+    }
+    const Outcome outcome = feed_session(encode_frame(request), false);
+    expect_clean_end(outcome, "spec seed " + std::to_string(seed) + " text '" + text + "'");
+    if (outcome.refused) ++refused;
+  }
+  EXPECT_GT(refused, 0u);  // the loop did reach the validation path
+}
+
+TEST(ShardSession, FuzzRandomGarbageIsRefused) {
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    std::mt19937_64 rng(5000 + seed);
+    std::vector<std::uint8_t> bytes(1 + rng() % 200);
+    for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+    if (seed % 2 == 0) {
+      // Valid magic, so the garbage reaches the length and checksum checks.
+      for (int i = 0; i < 4 && i < static_cast<int>(bytes.size()); ++i) {
+        bytes[static_cast<std::size_t>(i)] = (kFrameMagic >> (8 * i)) & 0xffu;
+      }
+    }
+    const Outcome outcome = feed_session(bytes, true);
+    expect_clean_end(outcome, "garbage seed " + std::to_string(seed));
+    EXPECT_TRUE(outcome.refused) << "garbage seed " << seed;
+  }
+}
+
+}  // namespace
+}  // namespace lr

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <iterator>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -99,7 +101,7 @@ TEST(RetryPolicy, JitterDesynchronizesShards) {
 }
 
 // ---------------------------------------------------------------------------
-// shard_ranges (moved here from process_runner.hpp; contract unchanged)
+// shard_ranges
 // ---------------------------------------------------------------------------
 
 TEST(ShardRanges, ContiguousCoverBalancedLargerFirst) {
@@ -173,6 +175,57 @@ TEST(ParseHostList, RejectionBatteryNamesTheOffendingEntry) {
   expect_rejected("a:9000*many", "worker count");    // non-numeric
   // The message must carry the literal entry so a long list is debuggable.
   expect_rejected("good:1,bad:0*2,fine:3", "bad:0*2");
+}
+
+TEST(ParseHostList, FuzzMutatedListsParseOrRejectCleanly) {
+  // Seed loop over mutated, truncated and spliced host lists: every input
+  // either throws std::invalid_argument or yields entries inside the
+  // documented bounds that survive a format/re-parse round trip.
+  const std::string seeds[] = {"node-a:9000", "10.0.0.1:9000*4,10.0.0.2:9001",
+                               "localhost:65535*1024", "[::1]:7071*2,b:1"};
+  constexpr char kAlphabet[] = "0123456789:*,.-ab[] \0\xff";  // NUL included
+  const std::string alphabet(kAlphabet, sizeof(kAlphabet) - 1);
+  for (std::uint64_t seed = 0; seed < 2'000; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::string text = seeds[seed % std::size(seeds)];
+    const std::size_t edits = 1 + rng() % 3;
+    for (std::size_t i = 0; i < edits; ++i) {
+      const std::size_t at = text.empty() ? 0 : rng() % text.size();
+      const char c = alphabet[rng() % alphabet.size()];
+      switch (rng() % 4) {
+        case 0:
+          if (!text.empty()) text[at] = c;
+          break;
+        case 1:
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        case 2:
+          text.resize(at);
+          break;
+        default:
+          text += "," + seeds[rng() % std::size(seeds)];
+          break;
+      }
+    }
+    std::vector<HostSpec> hosts;
+    try {
+      hosts = parse_host_list(text);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ASSERT_FALSE(hosts.empty()) << "'" << text << "'";
+    std::string formatted;
+    for (const HostSpec& host : hosts) {
+      EXPECT_FALSE(host.host.empty()) << "'" << text << "'";
+      EXPECT_GE(host.port, 1u) << "'" << text << "'";
+      EXPECT_GE(host.workers, 1u) << "'" << text << "'";
+      EXPECT_LE(host.workers, 1024u) << "'" << text << "'";
+      if (!formatted.empty()) formatted += ',';
+      formatted += host.host + ':' + std::to_string(host.port) + '*' +
+                   std::to_string(host.workers);
+    }
+    EXPECT_EQ(parse_host_list(formatted), hosts) << "'" << text << "'";
+  }
 }
 
 // ---------------------------------------------------------------------------
