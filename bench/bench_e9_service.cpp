@@ -6,21 +6,14 @@
 /// Expected shape: route and leader lookups are cheap (latency ~ 1 +
 /// hops on a stabilized DAG); lock cycles pay the grant's reversal
 /// steps on top, so their tail stretches with contention and churn; p99
-/// grows with topology diameter while throughput scales with the read
-/// phase's worker count.
+/// grows with topology diameter.
 ///
 /// E9.1 is the SLO table: the mixed reference workload per topology,
 /// reporting p50/p99/p999, mean latency, and wall-clock req/s for each
-/// request kind (docs/EXPERIMENTS.md).
-///
-/// E9.2 is the deployment A/B: the same workloads replayed serial vs
-/// pooled (2 and 4 read workers) and heap vs timing-wheel event
-/// scheduler.  Every configuration must reproduce the serial-heap
-/// report fingerprint exactly — per-kind histograms, counters, churn
-/// and reversal totals — before the req/s figures are trusted; the
-/// harness exits non-zero otherwise.  `--smoke` shrinks the series to
-/// seconds and skips the google-benchmark micro-timings; CI runs it to
-/// keep the A/B equivalence from bit-rotting.
+/// request kind (docs/EXPERIMENTS.md).  The harness is one serial event
+/// loop, so there is no deployment axis to A/B.  `--smoke` shrinks the
+/// series to seconds and skips the google-benchmark micro-timings; CI
+/// runs it to keep the series from bit-rotting.
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +21,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "runner/thread_pool.hpp"
 #include "service/service_harness.hpp"
 
 #include "bench_util.hpp"
@@ -90,80 +82,6 @@ void print_slo_series(bool smoke) {
   bench::emit_csv(table);
 }
 
-// ---------------------------------------------------------------------------
-// E9.2: the deployment A/B — serial vs pooled, heap vs timing wheel
-// ---------------------------------------------------------------------------
-
-/// E9.2 driver; returns false if any deployment's report fingerprint
-/// diverges from the serial-heap baseline.  Throughput is issued
-/// requests per wall-clock second of the whole run loop (the figure a
-/// service operator would quote; docs/PERFORMANCE.md), measured with a
-/// pre-built borrowed pool so pool construction is not billed to the
-/// deployment.
-bool print_deployment_ab(bool smoke) {
-  bench::print_header("E9.2: service deployment A/B, serial vs pooled, heap vs wheel",
-                      "identical report fingerprints at every worker count x scheduler; "
-                      "issued requests/sec per deployment (docs/PERFORMANCE.md)");
-  const std::size_t n = smoke ? 24 : 96;
-  const Instance inst = e9_instance(TopologyKind::kRandom, n);
-  ThreadPool pool2(2);
-  ThreadPool pool4(4);
-
-  struct Deployment {
-    const char* label;
-    EventSchedulerKind scheduler;
-    ThreadPool* pool;  // nullptr: serial read phase
-  };
-  const Deployment deployments[] = {
-      {"heap t=1", EventSchedulerKind::kHeap, nullptr},
-      {"wheel t=1", EventSchedulerKind::kWheel, nullptr},
-      {"heap t=2", EventSchedulerKind::kHeap, &pool2},
-      {"wheel t=4", EventSchedulerKind::kWheel, &pool4},
-  };
-
-  Table table;
-  table.columns = {"workload", "deployment", "issued", "p99_all",
-                   "req_per_sec", "fingerprint", "identical"};
-  bool identical = true;
-  for (const ServiceWorkload workload :
-       {ServiceWorkload::kMixed, ServiceWorkload::kRoute, ServiceWorkload::kLock}) {
-    std::uint64_t reference = 0;
-    for (const Deployment& deployment : deployments) {
-      ServiceOptions options;
-      options.clients = smoke ? 8 : 16;
-      options.duration = smoke ? 128 : 1024;
-      options.workload = workload;
-      options.scheduler = deployment.scheduler;
-      options.workers = deployment.pool == nullptr ? 1 : deployment.pool->size();
-      options.pool = deployment.pool;
-
-      const ServiceReport probe = run_service(inst, options);
-      const std::uint64_t fingerprint = probe.fingerprint();
-      if (deployment.pool == nullptr && deployment.scheduler == EventSchedulerKind::kHeap)
-        reference = fingerprint;
-      identical &= fingerprint == reference;
-
-      LatencyHistogram all;
-      for (const ServiceKindStats& stats : probe.kinds) all.merge(stats.histogram);
-
-      std::uint64_t issued = 0;
-      const double ns_per_run = bench::measure_ns_per_iter(
-          [&] {
-            const ServiceReport report = run_service(inst, options);
-            issued = report.total_issued();
-          },
-          smoke ? 1 : 5, smoke ? 0.0 : 200.0);
-      const double req_per_sec = static_cast<double>(issued) * 1e9 / ns_per_run;
-      table.add_row({service_workload_token(workload), deployment.label, bench::fmt_u(issued),
-                     bench::fmt_u(all.quantile(0.99)), bench::fmt(req_per_sec),
-                     bench::fmt_hex(fingerprint), fingerprint == reference ? "yes" : "NO"});
-    }
-  }
-  bench::emit_csv(table);
-  std::printf("report fingerprints: %s\n", identical ? "all identical" : "MISMATCH");
-  return identical;
-}
-
 void BM_ServiceMixed(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Instance inst = e9_instance(TopologyKind::kRandom, n);
@@ -195,10 +113,6 @@ BENCHMARK(BM_ServiceLockCycle)->Arg(32)->Arg(128);
 int main(int argc, char** argv) {
   const bool smoke = lr::bench::consume_smoke_flag(argc, argv);
   lr::print_slo_series(smoke);
-  if (!lr::print_deployment_ab(smoke)) {
-    std::fprintf(stderr, "E9.2 deployment A/B verification FAILED\n");
-    return 1;
-  }
   if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

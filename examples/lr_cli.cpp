@@ -69,13 +69,13 @@
 ///       its shape and CSR fingerprint.
 ///
 ///   lr_cli serve <topology> <size> [--workload route|lock|leader|mixed]
-///              [--clients N] [--duration T] [--seed S] [--threads N]
-///              [--scheduler heap|wheel] [--churn T] [--json out.json]
-///       Runs the request-serving harness (service/service_harness.hpp)
-///       over the named sweep topology under random link churn and prints
-///       the latency report (p50/p99/p999, per request kind) as CSV on
-///       stdout.  stdout is byte-identical at every --threads value and
-///       under both --scheduler backends (the determinism contract);
+///              [--clients N] [--duration T] [--seed S] [--churn T]
+///              [--json out.json]
+///       Runs the request-serving harness (service/service_harness.hpp),
+///       one serial closed-loop event loop, over the named sweep topology
+///       under random link churn and prints the latency report
+///       (p50/p99/p999, per request kind) as CSV on stdout.  stdout is a
+///       pure function of the arguments (the determinism contract);
 ///       wall-clock throughput goes to stderr.
 
 #include <algorithm>
@@ -141,10 +141,10 @@ int usage() {
                "  lr_cli serve <chain|random|grid|layered|star|unitdisk|torus|"
                "widerandom|waypoint> <n>"
                " [--workload route|lock|leader|mixed]\n"
-               "               [--clients N] [--duration T] [--seed S] [--threads N]\n"
-               "               [--scheduler heap|wheel] [--churn T] [--json out.json]\n"
-               "      latency CSV on stdout is byte-identical at every --threads value\n"
-               "      and under both --scheduler backends; throughput goes to stderr\n");
+               "               [--clients N] [--duration T] [--seed S] [--churn T]\n"
+               "               [--json out.json]\n"
+               "      latency CSV on stdout is deterministic in the arguments;\n"
+               "      throughput goes to stderr\n");
   return 2;
 }
 
@@ -538,16 +538,10 @@ int cmd_serve(int argc, char** argv) {
       } catch (const std::invalid_argument&) {
         return usage();
       }
-    } else if (flag == "--scheduler") {
-      try {
-        options.scheduler = parse_event_scheduler(value);
-      } catch (const std::invalid_argument&) {
-        return usage();
-      }
     } else if (flag == "--json") {
       json_path = value;
     } else if (flag == "--clients" || flag == "--duration" || flag == "--seed" ||
-               flag == "--threads" || flag == "--churn") {
+               flag == "--churn") {
       char* end = nullptr;
       const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
       // Same rejection rule as sweep: non-numeric or negative input fails
@@ -560,8 +554,6 @@ int cmd_serve(int argc, char** argv) {
         options.duration = parsed;
       } else if (flag == "--seed") {
         seed = parsed;
-      } else if (flag == "--threads") {
-        options.workers = static_cast<std::size_t>(parsed);
       } else {
         options.churn_interval = parsed;
       }

@@ -275,22 +275,15 @@ void run_dist_kernel(RunRecord& record, const Instance& instance, const CsrGraph
 /// edge_reversals = reversal steps, abstract_steps = failed requests,
 /// dummy_steps = the report fingerprint (so cross-process and
 /// cross-thread byte-identity checks pin the full latency histograms,
-/// not just the scalar counters).  `sim_threads` is the harness's
-/// parallel read-phase worker count; with a WorkerPoolCache the pool is
-/// borrowed (spawned once per sweep worker), satisfying the pool-reuse
-/// contract the pool-construction-counting test pins.
-void run_service_kernel(RunRecord& record, const Instance& instance, WorkerPoolCache* pools) {
+/// not just the scalar counters).  The harness runs one serial loop, so
+/// the event-core knobs (`sim_scheduler`, `sim_threads`) do not apply.
+void run_service_kernel(RunRecord& record, const Instance& instance) {
   const RunSpec& spec = record.spec;
   ServiceOptions options;
   options.clients = spec.service_clients;
   options.duration = spec.service_duration;
   options.workload = spec.service_workload;
   options.seed = spec.network_seed();
-  options.scheduler = spec.sim_scheduler;
-  options.workers = spec.sim_threads;
-  if (spec.sim_threads != 1 && pools != nullptr) {
-    options.pool = pools->get(spec.sim_threads);
-  }
   ServiceHarness harness(instance.graph, instance.destination, options);
   const ServiceReport report = harness.run();
   record.work = report.total_completed();
@@ -565,7 +558,7 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
         run_sim_rrev_kernel(record, *instance);
         break;
       case AlgorithmKind::kService:
-        run_service_kernel(record, *instance, pools);
+        run_service_kernel(record, *instance);
         break;
     }
   } catch (const std::exception& error) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -218,7 +220,17 @@ ExecutionPath parse_path(const std::string& token) {
 }
 
 std::size_t SweepSpec::run_count() const {
-  return topologies.size() * sizes.size() * algorithms.size() * schedulers.size() * seeds.size();
+  // Saturates instead of wrapping, so no axis product can pose as a
+  // small sweep (the shard session compares it to an untrusted claim).
+  std::size_t count = 1;
+  for (const std::size_t axis :
+       {topologies.size(), sizes.size(), algorithms.size(), schedulers.size(), seeds.size()}) {
+    if (axis != 0 && count > std::numeric_limits<std::size_t>::max() / axis) {
+      return std::numeric_limits<std::size_t>::max();
+    }
+    count *= axis;
+  }
+  return count;
 }
 
 std::vector<RunSpec> SweepSpec::expand() const {
@@ -280,24 +292,41 @@ std::uint64_t parse_u64(const std::string& token) {
       })) {
     throw std::invalid_argument("expected a non-negative integer, got '" + token + "'");
   }
-  return std::stoull(token);
+  std::uint64_t value = 0;
+  const auto [end, error] = std::from_chars(token.data(), token.data() + token.size(), value);
+  if (error != std::errc{} || end != token.data() + token.size()) {
+    throw std::invalid_argument("integer out of range: '" + token + "'");
+  }
+  return value;
 }
 
-/// Parses an integer list with `lo..hi` inclusive range sugar.
+/// Parses an integer list with `lo..hi` inclusive range sugar.  A range
+/// is the half-open [lo, hi + 1), so hi + 1 must fit in 64 bits.  A list
+/// expands to at most kMaxValues values, so a typo'd `1..1e18` range (or
+/// an untrusted spec) cannot make the parser materialize a huge list.
 std::vector<std::uint64_t> parse_integer_list(const std::string& list) {
-  constexpr std::uint64_t kMaxRange = 1'000'000;  // guard against typo'd 1..1e18 sweeps
+  constexpr std::uint64_t kMaxValues = 1'000'000;
   std::vector<std::uint64_t> values;
   for (const std::string& token : split_values(list)) {
     const std::size_t dots = token.find("..");
     if (dots == std::string::npos) {
       values.push_back(parse_u64(token));
-      continue;
+    } else {
+      const std::uint64_t lo = parse_u64(trim(token.substr(0, dots)));
+      const std::uint64_t hi = parse_u64(trim(token.substr(dots + 2)));
+      if (hi < lo) throw std::invalid_argument("descending range '" + token + "'");
+      if (hi == std::numeric_limits<std::uint64_t>::max()) {
+        throw std::invalid_argument("range end must be below " + std::to_string(hi) + ": '" +
+                                    token + "'");
+      }
+      if (hi + 1 - lo > kMaxValues - values.size()) {
+        throw std::invalid_argument("range too large: '" + token + "'");
+      }
+      for (std::uint64_t v = lo; v <= hi; ++v) values.push_back(v);
     }
-    const std::uint64_t lo = parse_u64(trim(token.substr(0, dots)));
-    const std::uint64_t hi = parse_u64(trim(token.substr(dots + 2)));
-    if (hi < lo) throw std::invalid_argument("descending range '" + token + "'");
-    if (hi - lo + 1 > kMaxRange) throw std::invalid_argument("range too large: '" + token + "'");
-    for (std::uint64_t v = lo; v <= hi; ++v) values.push_back(v);
+    if (values.size() > kMaxValues) {
+      throw std::invalid_argument("list has more than " + std::to_string(kMaxValues) + " values");
+    }
   }
   return values;
 }

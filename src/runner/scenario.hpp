@@ -111,17 +111,16 @@ struct RunSpec {
   /// (dist-fr / dist-pr kernels): the historical binary heap or the
   /// hierarchical timing wheel (sim/time_index.hpp).  Purely a performance
   /// switch — pop order, and hence every record, is byte-identical across
-  /// backends (tests/sim_test.cpp pins the equivalence).
+  /// backends (tests/sim_test.cpp pins the equivalence).  Every other
+  /// kernel ignores it.
   EventSchedulerKind sim_scheduler = EventSchedulerKind::kHeap;
 
   /// Worker threads of the simulated network's sharded event loop
   /// (dist-fr / dist-pr kernels): 1 = the serial event queue (default),
   /// 0 = hardware concurrency, N = a pool of N per-node event lanes
   /// (sim/sharded_loop.hpp).  Deterministic and byte-identical to the
-  /// serial loop at every value, like engine_threads.  The service
-  /// kernel reuses this knob as the harness's parallel read-phase
-  /// worker count (same contract: reports are byte-identical at every
-  /// value).
+  /// serial loop at every value, like engine_threads.  Every other
+  /// kernel ignores it.
   std::size_t sim_threads = 1;
 
   /// Client-request mix of the service kernel
@@ -232,12 +231,13 @@ struct SweepSpec {
   /// at every thread count by construction.
   std::size_t engine_threads = 1;
   /// `sim_scheduler =` scalar option (`heap` default, `wheel` for the
-  /// timing-wheel backend): the network time index stamped on every
-  /// expanded run (see RunSpec::sim_scheduler).  Scalar because records
-  /// are byte-identical across backends.
+  /// timing-wheel backend): the dist-fr / dist-pr network time index
+  /// stamped on every expanded run (see RunSpec::sim_scheduler).  Scalar
+  /// because records are byte-identical across backends.
   EventSchedulerKind sim_scheduler = EventSchedulerKind::kHeap;
-  /// `sim_threads =` scalar option: the network's sharded-event-loop
-  /// worker count stamped on every expanded run (see RunSpec::sim_threads).
+  /// `sim_threads =` scalar option: the dist-fr / dist-pr network's
+  /// sharded-event-loop worker count stamped on every expanded run (see
+  /// RunSpec::sim_threads).
   /// Scalar because records are byte-identical at every value.
   std::size_t sim_threads = 1;
   /// `service_workload =` scalar option (`mixed` default): the service
@@ -256,7 +256,8 @@ struct SweepSpec {
   /// because it parameterizes the workload, like service_duration.
   std::size_t churn_events = 0;
 
-  /// Number of runs the spec expands to (the axes' size product).
+  /// Number of runs the spec expands to (the axes' size product,
+  /// saturating at SIZE_MAX).
   std::size_t run_count() const;
 
   /// Expands the cartesian product in the canonical order: topology

@@ -17,11 +17,11 @@
 /// element-wise sum of two fixed arrays plus the same aggregate folds.
 /// Every operation is integer arithmetic over a fixed layout, so merge
 /// is exactly commutative and associative: however a sample stream is
-/// split across workers and in whatever order the pieces are merged
-/// back, the resulting histogram is byte-identical to recording the
-/// stream serially.  That identity — not approximate equality — is what
-/// lets the service harness promise byte-identical latency reports at
-/// every worker count (tests/latency_histogram_test.cpp pins it with a
+/// split and in whatever order the pieces are merged back, the
+/// resulting histogram is byte-identical to recording the stream
+/// serially.  That identity — not approximate equality — is what lets
+/// the service report's "all" row merge the per-kind histograms without
+/// losing a sample (tests/latency_histogram_test.cpp pins it with a
 /// randomized split/order property test).
 ///
 /// quantile(q) returns the lower bound of the bucket containing the
@@ -86,9 +86,9 @@ class LatencyHistogram {
   std::uint64_t quantile(double q) const noexcept;
 
   /// FNV-1a over the bucket array and aggregates: the identity the
-  /// worker-count-invariance checks compare.  Equal histograms hash
-  /// equal; the service layer treats a fingerprint match across
-  /// configurations as "byte-identical report".
+  /// determinism checks compare.  Equal histograms hash equal; the
+  /// service layer treats a fingerprint match across runs as
+  /// "byte-identical report".
   std::uint64_t fingerprint() const noexcept;
 
   /// Exact structural equality (buckets and aggregates).

@@ -1,9 +1,7 @@
 #include "service/service_harness.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 
 #include "runner/scenario.hpp"
@@ -25,6 +23,23 @@ std::string fmt_double(double value) {
 }
 
 std::string u64(std::uint64_t value) { return std::to_string(value); }
+
+/// The kind of a client's next request: fixed by a single-kind mix, or
+/// drawn from the client's stream (route 1/2, lock 1/4, leader 1/4).
+RequestKind draw_kind(ServiceWorkload workload, std::mt19937_64& rng) {
+  switch (workload) {
+    case ServiceWorkload::kRoute:
+      return RequestKind::kRoute;
+    case ServiceWorkload::kLock:
+      return RequestKind::kLock;
+    case ServiceWorkload::kLeader:
+      return RequestKind::kLeader;
+    case ServiceWorkload::kMixed:
+      break;
+  }
+  const std::uint64_t draw = rng() % 4;
+  return draw < 2 ? RequestKind::kRoute : (draw == 2 ? RequestKind::kLock : RequestKind::kLeader);
+}
 
 }  // namespace
 
@@ -119,25 +134,6 @@ Table ServiceReport::latency_table() const {
   return table;
 }
 
-/// One drawn-but-unprocessed request of the current tick's batch.
-struct ServiceHarness::PendingRequest {
-  std::uint64_t id = 0;
-  RequestKind kind = RequestKind::kRoute;
-  NodeId source = 0;
-  std::uint64_t think = 1;
-  std::uint32_t client = 0;
-  // Filled by the processing phase (lock serially, reads in parallel).
-  std::uint64_t latency = 1;
-  std::uint64_t hops = 0;
-  RequestStatus status = RequestStatus::kOk;
-};
-
-/// Private measurement block of one parallel read-phase worker; merged
-/// into the report with the histogram's exact merge.
-struct ServiceHarness::WorkerAccumulator {
-  ServiceKindStats kinds[kRequestKinds];
-};
-
 ServiceHarness::ServiceHarness(const Graph& topology, NodeId destination, ServiceOptions options)
     : topology_(topology),
       destination_(destination),
@@ -195,23 +191,51 @@ void ServiceHarness::apply_churn_until(SimTime now) {
   }
 }
 
+void ServiceHarness::serve(ServiceRequest& request) {
+  const NodeId source = request.source;
+  if (request.kind == RequestKind::kLock) {
+    // A lock cycle mutates the mutex DAG: the request routes to the
+    // holder, the release re-targets it.
+    if (source == mutex_.holder()) return;  // already holds the token
+    if (!mutex_.dag().route(source)) {
+      request.status = RequestStatus::kPartitioned;
+      return;
+    }
+    const std::uint64_t before = mutex_.stats().total_reversals;
+    request.hops = mutex_.request(source);
+    mutex_.release();  // grants to `source`: the queue held only it
+    request.latency = 1 + request.hops + (mutex_.stats().total_reversals - before);
+    return;
+  }
+  // Route queries and leader lookups: pure reads of the tora / leader DAGs.
+  const DynamicHeightsDag* dag = &tora_.dag();
+  NodeId target = tora_.destination();
+  if (request.kind == RequestKind::kLeader) {
+    const auto elected = leader_.leader();
+    if (!elected) {
+      request.status = RequestStatus::kNoLeader;
+      return;
+    }
+    dag = &leader_.dag();
+    target = *elected;
+  }
+  if (source == target) return;
+  const auto path = dag->route(source);
+  if (!path) {
+    request.status = RequestStatus::kPartitioned;
+    return;
+  }
+  request.hops = path->size() - 1;
+  request.latency = 1 + request.hops;
+}
+
 ServiceReport ServiceHarness::run() {
   ServiceReport report;
   const std::size_t nodes = topology_.num_nodes();
 
-  // Resolve the parallel read phase's worker pool: a borrowed pool wins,
-  // `workers != 1` without one spawns a short-lived local pool, and
-  // workers == 1 stays serial (no pool at all).  Reports are identical
-  // in every case — sharding only moves pure reads between threads.
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = options_.pool;
-  if (pool == nullptr && options_.workers != 1) pool = &local_pool.emplace(options_.workers);
-  const std::size_t workers = pool != nullptr ? pool->size() : 1;
-  std::vector<WorkerAccumulator> accumulators(workers);
-
   // Per-client RNG streams: a client's request sequence depends only on
   // (seed, client index), never on interleaving, which is half of the
-  // determinism story (the other half is the serial completion order).
+  // determinism story (the other half is the (time, seq) pop order).
   std::vector<std::mt19937_64> client_rng;
   client_rng.reserve(options_.clients);
   for (std::size_t client = 0; client < options_.clients; ++client) {
@@ -219,190 +243,49 @@ ServiceReport ServiceHarness::run() {
         splitmix64(splitmix64(options_.seed ^ kClientDomain) ^ (client + 1)));
   }
 
-  TimeIndex index(options_.scheduler);
+  TimeIndex index;
   std::uint64_t seq = 0;
   for (std::size_t client = 0; client < options_.clients; ++client) {
     index.push(1, seq++, static_cast<std::uint32_t>(client));
   }
 
   std::uint64_t next_id = 0;
-  std::vector<PendingRequest> pending;
-  std::vector<std::size_t> reads;  // pending indices of the parallel phase
-
   const auto start = std::chrono::steady_clock::now();
   TimeIndexEntry entry;
   SimTime now = 0;
   while (index.peek_min_time(now) && now <= options_.duration) {
-    // Drain the whole tick: entries pop in (time, seq) order, so the
-    // batch order is the issue order regardless of backend.
-    pending.clear();
-    SimTime peek = 0;
-    while (index.peek_min_time(peek) && peek == now) {
-      index.pop_min(entry);
-      PendingRequest request;
-      request.client = entry.slot;
-      pending.push_back(request);
-    }
-
-    // Phase 1 — churn due at or before this tick, applied serially
-    // through the incremental patch path of all three services.
+    index.pop_min(entry);
+    // Churn due at or before this tick, through the incremental patch
+    // path of all three services (a no-op after the tick's first pop).
     apply_churn_until(now);
 
-    // Phase 2 — draw this tick's requests serially, one per woken
-    // client, in batch (= seq) order.
-    for (PendingRequest& request : pending) {
-      std::mt19937_64& rng = client_rng[request.client];
-      switch (options_.workload) {
-        case ServiceWorkload::kRoute:
-          request.kind = RequestKind::kRoute;
-          break;
-        case ServiceWorkload::kLock:
-          request.kind = RequestKind::kLock;
-          break;
-        case ServiceWorkload::kLeader:
-          request.kind = RequestKind::kLeader;
-          break;
-        case ServiceWorkload::kMixed: {
-          const std::uint64_t draw = rng() % 4;
-          request.kind = draw < 2 ? RequestKind::kRoute
-                                  : (draw == 2 ? RequestKind::kLock : RequestKind::kLeader);
-          break;
-        }
-      }
-      request.source = static_cast<NodeId>(rng() % nodes);
-      request.think = 1 + rng() % 8;
-      request.id = next_id++;
-    }
+    std::mt19937_64& rng = client_rng[entry.slot];
+    ServiceRequest request;
+    request.id = next_id++;
+    request.kind = draw_kind(options_.workload, rng);
+    request.source = static_cast<NodeId>(rng() % nodes);
+    request.issued = now;
+    const std::uint64_t think = 1 + rng() % 8;
+    serve(request);
 
-    // Phase 3 — lock cycles, serially in issue order (they mutate the
-    // mutex DAG: request routes to the holder, release re-targets it).
-    reads.clear();
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      PendingRequest& request = pending[i];
-      if (request.kind != RequestKind::kLock) {
-        reads.push_back(i);
-        continue;
-      }
-      const NodeId source = request.source;
-      if (source == mutex_.holder()) {
-        request.latency = 1;  // already holds the token
-      } else if (!mutex_.dag().route(source)) {
-        request.status = RequestStatus::kPartitioned;
-        request.latency = 1;
-      } else {
-        const std::uint64_t before = mutex_.stats().total_reversals;
-        request.hops = mutex_.request(source);
-        mutex_.release();  // grants to `source`: the queue held only it
-        const std::uint64_t reversals = mutex_.stats().total_reversals - before;
-        request.latency = 1 + request.hops + reversals;
-      }
-      ServiceKindStats& stats = accumulators[0].kinds[static_cast<std::size_t>(request.kind)];
-      ++stats.issued;
-      if (request.status == RequestStatus::kOk) {
-        ++stats.completed;
-        stats.hops += request.hops;
-        stats.histogram.record(request.latency);
-      } else {
-        ++stats.failed;
-      }
-    }
-
-    // Phase 4 — route queries and leader lookups: pure reads over the
-    // tora / leader DAGs, sharded contiguously across the pool.  Freshen
-    // both snapshots serially first so the parallel phase never races an
-    // ensure_snapshot rebuild.
-    (void)tora_.dag().neighbors(0);
-    (void)leader_.dag().neighbors(0);
-    const auto process_read = [this](PendingRequest& request) {
-      const NodeId source = request.source;
-      if (request.kind == RequestKind::kRoute) {
-        if (source == tora_.destination()) {
-          request.latency = 1;
-          return;
-        }
-        const auto path = tora_.dag().route(source);
-        if (!path) {
-          request.status = RequestStatus::kPartitioned;
-          request.latency = 1;
-          return;
-        }
-        request.hops = path->size() - 1;
-        request.latency = 1 + request.hops;
-        return;
-      }
-      const auto elected = leader_.leader();
-      if (!elected) {
-        request.status = RequestStatus::kNoLeader;
-        request.latency = 1;
-        return;
-      }
-      if (source == *elected) {
-        request.latency = 1;
-        return;
-      }
-      const auto path = leader_.dag().route(source);
-      if (!path) {
-        request.status = RequestStatus::kPartitioned;
-        request.latency = 1;
-        return;
-      }
-      request.hops = path->size() - 1;
-      request.latency = 1 + request.hops;
-    };
-    const auto account = [&pending, &reads, &accumulators](std::size_t worker, std::size_t begin,
-                                                           std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        PendingRequest& request = pending[reads[r]];
-        ServiceKindStats& stats =
-            accumulators[worker].kinds[static_cast<std::size_t>(request.kind)];
-        ++stats.issued;
-        if (request.status == RequestStatus::kOk) {
-          ++stats.completed;
-          stats.hops += request.hops;
-          stats.histogram.record(request.latency);
-        } else {
-          ++stats.failed;
-        }
-      }
-    };
-    if (pool != nullptr && reads.size() > 1) {
-      pool->run([&pending, &reads, &process_read, &account, workers](std::size_t worker) {
-        const std::size_t begin = reads.size() * worker / workers;
-        const std::size_t end = reads.size() * (worker + 1) / workers;
-        for (std::size_t r = begin; r < end; ++r) process_read(pending[reads[r]]);
-        account(worker, begin, end);
-      });
+    ServiceKindStats& stats = report.kinds[static_cast<std::size_t>(request.kind)];
+    ++stats.issued;
+    if (request.status == RequestStatus::kOk) {
+      ++stats.completed;
+      stats.hops += request.hops;
+      stats.histogram.record(request.latency);
     } else {
-      for (const std::size_t i : reads) process_read(pending[i]);
-      account(0, 0, reads.size());
+      ++stats.failed;
     }
+    if (options_.keep_trace) report.trace.push_back(request);
 
-    // Phase 5 — completion, serially in issue order: trace append and
-    // the next closed-loop wake (latency then think time).
-    for (const PendingRequest& request : pending) {
-      if (options_.keep_trace) {
-        report.trace.push_back({request.id, request.kind, request.source, now, request.latency,
-                                request.hops, request.status});
-      }
-      const SimTime next = now + request.latency + request.think;
-      if (next <= options_.duration) index.push(next, seq++, request.client);
-    }
+    // The client's next wake: latency then think time.
+    const SimTime next = now + request.latency + think;
+    if (next <= options_.duration) index.push(next, seq++, entry.slot);
   }
   const auto stop = std::chrono::steady_clock::now();
   report.wall_seconds = std::chrono::duration<double>(stop - start).count();
 
-  // Exact, order-independent merge of the per-worker measurement blocks
-  // (ascending worker order by convention; any order yields identical
-  // bytes — tests/latency_histogram_test.cpp proves it).
-  for (const WorkerAccumulator& accumulator : accumulators) {
-    for (std::size_t kind = 0; kind < kRequestKinds; ++kind) {
-      report.kinds[kind].histogram.merge(accumulator.kinds[kind].histogram);
-      report.kinds[kind].issued += accumulator.kinds[kind].issued;
-      report.kinds[kind].completed += accumulator.kinds[kind].completed;
-      report.kinds[kind].failed += accumulator.kinds[kind].failed;
-      report.kinds[kind].hops += accumulator.kinds[kind].hops;
-    }
-  }
   report.churn_events = churn_events_;
   report.reversal_steps = tora_.dag().total_reversals() + mutex_.dag().total_reversals() +
                           leader_.dag().total_reversals();

@@ -11,7 +11,6 @@
 #include "routing/leader_election.hpp"
 #include "routing/mutex.hpp"
 #include "routing/tora.hpp"
-#include "runner/thread_pool.hpp"
 #include "service/latency_histogram.hpp"
 #include "service/workload.hpp"
 #include "sim/time_index.hpp"
@@ -25,31 +24,24 @@
 /// percentiles and sustained throughput) instead of time-to-quiescence.
 ///
 /// A harness owns one instance of each routing service over a shared
-/// churning topology and drives `clients` closed-loop clients through a
-/// virtual-time event loop (sim/time_index.hpp, so both scheduler
-/// backends apply): each client issues a request, observes its latency,
-/// thinks for a few ticks, and issues the next.  Link churn — random
-/// flips at a fixed cadence, or an explicit script for fault-injection
-/// tests — flows through `DynamicHeightsDag::add_link/remove_link`,
-/// i.e. the incremental CSR patch path, so steady-state churn never
-/// rebuilds a snapshot.
+/// churning topology and drives `clients` closed-loop clients through
+/// one serial virtual-time event loop (a sim/time_index.hpp TimeIndex):
+/// each popped client wake applies the churn due at that tick, draws a
+/// request from the client's own RNG stream, serves it, records it, and
+/// schedules the client's next wake after its latency plus a few think
+/// ticks.  Link churn — random flips at a fixed cadence, or an explicit
+/// script for fault-injection tests — flows through
+/// `DynamicHeightsDag::add_link/remove_link`, i.e. the incremental CSR
+/// patch path, so steady-state churn never rebuilds a snapshot.
 ///
 /// Latency is measured in deterministic *virtual* units derived from
 /// the work a request causes (1 + route hops, plus reversal steps for
 /// lock grants), never from the wall clock, so every latency number is
-/// part of the determinism contract.  Wall-clock throughput
-/// (requests_per_sec) is reported separately and is explicitly outside
-/// that contract.
-///
-/// Parallel execution: each tick's read-only requests (route queries,
-/// leader lookups) are sharded across a borrowed ThreadPool, each
-/// worker recording into a private LatencyHistogram; the per-worker
-/// histograms are summed with the histogram's exact merge.  All
-/// mutation (churn, lock grant cycles, RNG draws, trace appends)
-/// happens serially in popped-event order.  Together these make the
-/// report — traces, histograms, fingerprint — byte-identical at every
-/// worker count and under both event-scheduler backends
-/// (tests/service_harness_test.cpp pins 1/2/4/8 workers x heap/wheel).
+/// part of the determinism contract: the report — trace, histograms,
+/// fingerprint — is a pure function of (topology, options)
+/// (tests/service_harness_test.cpp pins it per workload mix and churn
+/// mode).  Wall-clock throughput (requests_per_sec) is reported
+/// separately and is explicitly outside that contract.
 
 namespace lr {
 
@@ -80,8 +72,9 @@ enum class RequestStatus : std::uint8_t {
 /// Report-table token of a status ("ok", "partitioned", "no-leader").
 const char* request_status_token(RequestStatus status);
 
-/// One issued request, as recorded in the (optional) trace: the
-/// exactly-once accounting unit of the fault-injection tests.
+/// One issued request: the unit the loop serves and the (optional)
+/// trace records — the exactly-once accounting unit of the
+/// fault-injection tests.
 struct ServiceRequest {
   std::uint64_t id = 0;        ///< issue-order id, unique per run
   RequestKind kind = RequestKind::kRoute;  ///< request family
@@ -92,7 +85,7 @@ struct ServiceRequest {
   RequestStatus status = RequestStatus::kOk;  ///< terminal status
 };
 
-/// One scripted churn event: applied before the first request batch at
+/// One scripted churn event: applied before the first request issued at
 /// or after `time`.
 struct ScriptedLinkEvent {
   SimTime time = 0;   ///< virtual tick the event takes effect
@@ -105,17 +98,6 @@ struct ServiceOptions {
   SimTime duration = 256;           ///< virtual ticks to run for
   ServiceWorkload workload = ServiceWorkload::kMixed;  ///< request mix
   std::uint64_t seed = 1;           ///< master seed of the RNG streams
-  /// Event-scheduler backend of the virtual-time loop.  Purely a
-  /// performance switch: reports are byte-identical across backends.
-  EventSchedulerKind scheduler = EventSchedulerKind::kHeap;
-  /// Worker count of the parallel read phase: 1 = serial (default),
-  /// 0 = hardware concurrency.  Reports are byte-identical at every
-  /// value (the determinism contract).
-  std::size_t workers = 1;
-  /// Borrowed pool for the parallel read phase (e.g. from a sweep
-  /// worker's WorkerPoolCache).  May be null: `workers != 1` then
-  /// spawns a short-lived local pool.  Never owned.
-  ThreadPool* pool = nullptr;
   /// Random link-churn cadence in virtual ticks (0 = no random churn).
   /// Ignored when `churn_script` is set.
   SimTime churn_interval = 16;
@@ -163,8 +145,7 @@ struct ServiceReport {
 
   /// FNV-1a over every deterministic field (per-kind histograms and
   /// counters, churn and reversal totals) — the single number the
-  /// worker-count / scheduler / process-count invariance checks
-  /// compare.
+  /// pinned-report and process-count invariance checks compare.
   std::uint64_t fingerprint() const noexcept;
 
   /// The latency report: one row per kind plus an "all" row merging
@@ -186,9 +167,9 @@ class ServiceHarness {
   ServiceReport run();
 
  private:
-  struct PendingRequest;   // one tick's request, pre-drawn serially
-  struct WorkerAccumulator;  // per-worker histograms + counters
-
+  /// Serves one request against the three services, filling in its
+  /// latency, hops and status.
+  void serve(ServiceRequest& request);
   void apply_churn_until(SimTime now);
   void apply_link_event(const LinkEvent& event);
 

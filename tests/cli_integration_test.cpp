@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -56,8 +57,12 @@ CommandResult run_command(const std::string& args) {
   return {WEXITSTATUS(status), std::move(output)};
 }
 
+/// A temp path private to this process, so concurrent runs of the suite
+/// never read or overwrite each other's specs, records and logs.
 std::string temp_file(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          ("lr_" + std::to_string(getpid()) + "_" + name))
+      .string();
 }
 
 TEST_F(CliIntegrationTest, GenInfoRoundTrip) {
@@ -327,17 +332,20 @@ TEST_F(CliIntegrationTest, ServeReportsTheLatencySchema) {
   EXPECT_NE(result.output.find("req/s"), std::string::npos) << result.output;
 }
 
+// serve has one deployment, the serial loop: the removed --threads and
+// --scheduler flags are unknown, and two plain runs print the same bytes.
 TEST_F(CliIntegrationTest, ServeReportIsDeploymentInvariant) {
   const std::string args = "serve random 24 --clients 6 --duration 96 --seed 5 --churn 8";
-  const auto reference = run_command(args);
-  ASSERT_EQ(reference.exit_code, 0) << reference.output;
-  const std::string expected = strip_serve_progress(reference.output);
-  for (const std::string& variant :
-       {args + " --threads 4", args + " --scheduler wheel", args + " --threads 2 --scheduler wheel"}) {
-    const auto result = run_command(variant);
-    EXPECT_EQ(result.exit_code, 0) << result.output;
-    EXPECT_EQ(strip_serve_progress(result.output), expected) << variant;
+  for (const std::string& removed : {args + " --threads 4", args + " --scheduler wheel"}) {
+    const auto result = run_command(removed);
+    EXPECT_EQ(result.exit_code, 2) << removed;
+    EXPECT_NE(result.output.find("usage"), std::string::npos) << result.output;
   }
+  const auto first = run_command(args);
+  ASSERT_EQ(first.exit_code, 0) << first.output;
+  const auto second = run_command(args);
+  ASSERT_EQ(second.exit_code, 0) << second.output;
+  EXPECT_EQ(strip_serve_progress(second.output), strip_serve_progress(first.output));
 }
 
 TEST_F(CliIntegrationTest, ServeWritesJsonReport) {
@@ -439,11 +447,32 @@ TEST_F(CliIntegrationTest, ShardServerArgvValidation) {
   EXPECT_EQ(run_command("shard-server --listen 9000 --snapshot-dir /tmp").exit_code, 2);
 }
 
+/// A loopback port the kernel just reported free (bind to port 0), so
+/// the test never guesses at a port another process may hold.
+std::uint16_t free_loopback_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  address.sin_port = 0;
+  socklen_t length = sizeof(address);
+  std::uint16_t port = 0;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) == 0 &&
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&address), &length) == 0) {
+    port = ntohs(address.sin_port);
+  }
+  ::close(fd);
+  return port;
+}
+
 /// Fork/execs a real `lr_cli shard-server --listen <port>` daemon and
 /// waits until it accepts connections.  Returns the child pid, or -1.
-pid_t spawn_shard_server(std::uint16_t port) {
+pid_t spawn_shard_server_on(std::uint16_t port) {
   const pid_t pid = fork();
   if (pid == 0) {
+    // The daemon goes down with the test, even one killed by a timeout.
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
     const int null_fd = ::open("/dev/null", O_WRONLY);
     if (null_fd >= 0) {
       ::dup2(null_fd, STDOUT_FILENO);
@@ -464,11 +493,26 @@ pid_t spawn_shard_server(std::uint16_t port) {
     address.sin_port = htons(port);
     const bool up = ::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) == 0;
     ::close(fd);
+    // A daemon that lost the port to another process exits; whatever
+    // accepted the probe then is not ours.
+    if (::waitpid(pid, nullptr, WNOHANG) == pid) return -1;
     if (up) return pid;
     usleep(50'000);
   }
   ::kill(pid, SIGKILL);
   ::waitpid(pid, nullptr, 0);
+  return -1;
+}
+
+/// spawn_shard_server_on a fresh free port, retried on a new port if the
+/// daemon does not come up.  Sets `port`; returns the child pid, or -1.
+pid_t spawn_shard_server(std::uint16_t& port) {
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    port = free_loopback_port();
+    if (port == 0) continue;
+    const pid_t pid = spawn_shard_server_on(port);
+    if (pid > 0) return pid;
+  }
   return -1;
 }
 
@@ -484,20 +528,21 @@ TEST_F(CliIntegrationTest, SweepHostsMatchesProcessesByteForByte) {
   const std::string records_tcp = temp_file("cli_it_hosts_tcp.csv");
   const std::string shard_log = temp_file("cli_it_hosts_shards.csv");
 
-  // Ports in the dynamic range, offset by pid so parallel CI jobs on one
-  // host do not collide.
-  const std::uint16_t base = static_cast<std::uint16_t>(40000 + (getpid() % 10000));
-  const pid_t server1 = spawn_shard_server(base);
-  const pid_t server2 = spawn_shard_server(static_cast<std::uint16_t>(base + 1));
-  ASSERT_GT(server1, 0) << "shard-server on port " << base << " did not come up";
-  ASSERT_GT(server2, 0) << "shard-server on port " << base + 1 << " did not come up";
+  // Kernel-assigned free ports, so parallel runs on one host do not collide.
+  std::uint16_t port1 = 0;
+  std::uint16_t port2 = 0;
+  const pid_t server1 = spawn_shard_server(port1);
+  ASSERT_GT(server1, 0) << "shard-server on port " << port1 << " did not come up";
+  const pid_t server2 = spawn_shard_server(port2);
+  if (server2 <= 0) stop_shard_server(server1);
+  ASSERT_GT(server2, 0) << "shard-server on port " << port2 << " did not come up";
 
   const auto local =
       run_command("sweep " + spec_path + " --processes 1 --records " + records_local);
   EXPECT_EQ(local.exit_code, 0) << local.output;
   const auto remote = run_command(
-      "sweep " + spec_path + " --hosts 127.0.0.1:" + std::to_string(base) + "*2,127.0.0.1:" +
-      std::to_string(base + 1) + "*2 --records " + records_tcp + " --shard-log " + shard_log);
+      "sweep " + spec_path + " --hosts 127.0.0.1:" + std::to_string(port1) + "*2,127.0.0.1:" +
+      std::to_string(port2) + "*2 --records " + records_tcp + " --shard-log " + shard_log);
   stop_shard_server(server1);
   stop_shard_server(server2);
   EXPECT_EQ(remote.exit_code, 0) << remote.output;
@@ -516,7 +561,7 @@ TEST_F(CliIntegrationTest, SweepHostsMatchesProcessesByteForByte) {
   log_contents << log.rdbuf();
   EXPECT_NE(log_contents.str().find("shard,attempt,endpoint,outcome"), std::string::npos)
       << log_contents.str();
-  EXPECT_NE(log_contents.str().find("127.0.0.1:" + std::to_string(base)), std::string::npos)
+  EXPECT_NE(log_contents.str().find("127.0.0.1:" + std::to_string(port1)), std::string::npos)
       << log_contents.str();
   EXPECT_NE(log_contents.str().find(",\"ok\","), std::string::npos) << log_contents.str();
 

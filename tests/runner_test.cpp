@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "analysis/bounds.hpp"
 #include "runner/runner.hpp"
@@ -63,6 +68,182 @@ TEST(SweepSpecTest, RejectsMalformedInput) {
   EXPECT_THROW(SweepSpec::parse_string("topology = chain\nsize = 8\nalgorithm = pr\n"
                                        "seed = 1..99999999\n"),
                std::invalid_argument);
+}
+
+/// Expects `text` to be rejected with an invalid_argument naming `line`.
+void expect_rejected_at_line(const std::string& text, int line) {
+  try {
+    SweepSpec::parse_string(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("sweep spec line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SweepSpecTest, RejectsIntegerRangesThatWouldNeverEnd) {
+  const std::string base = "topology = chain\nsize = 8\nalgorithm = pr\n";
+  // A range ending at 2^64 - 1 has no representable end + 1, and
+  // 0..2^64-1 would wrap its value count to 0, under any cap.
+  expect_rejected_at_line(base + "seed = 18446744073709551610..18446744073709551615\n", 4);
+  expect_rejected_at_line(base + "seed = 0..18446744073709551615\n", 4);
+  // The cap bounds the whole list, not each range.
+  expect_rejected_at_line(base + "seed = 1..600000, 1..600000\n", 4);
+  expect_rejected_at_line(base + "seed = 0..1000000\n", 4);
+  // 2^64 - 1 is still a valid single value, and 2^64 - 2 a valid range end.
+  EXPECT_EQ(SweepSpec::parse_string(base + "seed = 18446744073709551615\n").seeds,
+            (std::vector<std::uint64_t>{18446744073709551615ULL}));
+  EXPECT_EQ(SweepSpec::parse_string(base + "seed = 18446744073709551612..18446744073709551614\n")
+                .seeds,
+            (std::vector<std::uint64_t>{18446744073709551612ULL, 18446744073709551613ULL,
+                                        18446744073709551614ULL}));
+  EXPECT_EQ(SweepSpec::parse_string(base + "seed = 0..999999\n").seeds.size(), 1'000'000u);
+}
+
+TEST(SweepSpecTest, RejectsOverlongIntegersByLine) {
+  expect_rejected_at_line("topology = chain\nsize = 99999999999999999999999\nalgorithm = pr\n", 2);
+  const std::string base = "topology = chain\nsize = 8\nalgorithm = pr\n";
+  expect_rejected_at_line(base + "seed = 18446744073709551616\n", 4);
+  expect_rejected_at_line(base + "seed = 1..99999999999999999999\n", 4);
+}
+
+TEST(SweepSpecTest, RunCountSaturatesInsteadOfWrapping) {
+  SweepSpec spec;
+  spec.topologies.assign(1u << 16, TopologyKind::kChain);
+  spec.algorithms.assign(1u << 16, AlgorithmKind::kFullReversal);
+  spec.schedulers.assign(1u << 16, SchedulerKind::kLowestId);
+  spec.sizes.assign(1u << 16, 8);  // 2^64 runs in all
+  spec.seeds = {1};
+  EXPECT_EQ(spec.run_count(), std::numeric_limits<std::size_t>::max());
+  spec.sizes.clear();
+  EXPECT_EQ(spec.run_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Seed-loop fuzz of the sweep-spec parser (no libFuzzer needed)
+// ---------------------------------------------------------------------------
+
+/// Field-wise RunSpec equality: the round-trip contract's notion of
+/// "the same run".
+bool same_run(const RunSpec& a, const RunSpec& b) {
+  return a.topology == b.topology && a.size == b.size && a.algorithm == b.algorithm &&
+         a.scheduler == b.scheduler && a.seed == b.seed && a.max_steps == b.max_steps &&
+         a.path == b.path && a.engine_threads == b.engine_threads &&
+         a.sim_scheduler == b.sim_scheduler && a.sim_threads == b.sim_threads &&
+         a.service_workload == b.service_workload && a.service_clients == b.service_clients &&
+         a.service_duration == b.service_duration && a.churn_events == b.churn_events;
+}
+
+/// A random valid spec with small axes: every enum axis draws from its
+/// whole token set, every integer from a range that includes 0 and
+/// values past 2^32.
+SweepSpec random_sweep_spec(std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t count) { return static_cast<std::size_t>(rng() % count); };
+  const auto integer = [&rng]() -> std::uint64_t {
+    switch (rng() % 3) {
+      case 0:
+        return rng() % 4;
+      case 1:
+        return rng() % 100'000;
+      default:
+        return rng() >> (rng() % 64);
+    }
+  };
+  SweepSpec spec;
+  for (std::size_t i = 1 + pick(3); i > 0; --i) {
+    spec.topologies.push_back(static_cast<TopologyKind>(pick(9)));
+    spec.sizes.push_back(integer());
+    spec.algorithms.push_back(static_cast<AlgorithmKind>(pick(11)));
+    spec.schedulers.push_back(static_cast<SchedulerKind>(pick(4)));
+    spec.seeds.push_back(integer());
+  }
+  spec.max_steps = integer();
+  spec.path = static_cast<ExecutionPath>(pick(2));
+  spec.engine_threads = integer();
+  spec.sim_scheduler = static_cast<EventSchedulerKind>(pick(2));
+  spec.sim_threads = integer();
+  spec.service_workload = static_cast<ServiceWorkload>(pick(4));
+  spec.service_clients = 1 + pick(64);
+  spec.service_duration = integer();
+  spec.churn_events = integer();
+  return spec;
+}
+
+/// Checks the round-trip contract on a spec the parser accepted.
+void expect_round_trip(const SweepSpec& spec, const std::string& context) {
+  const std::string text = format_sweep_spec(spec);
+  const SweepSpec reparsed = SweepSpec::parse_string(text);
+  EXPECT_EQ(format_sweep_spec(reparsed), text) << context;
+  ASSERT_EQ(reparsed.run_count(), spec.run_count()) << context;
+  if (spec.run_count() > 4096) return;  // the fixed point above already covers it
+  const std::vector<RunSpec> original = spec.expand();
+  const std::vector<RunSpec> recovered = reparsed.expand();
+  ASSERT_EQ(recovered.size(), original.size()) << context;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    ASSERT_TRUE(same_run(recovered[i], original[i])) << context << " run " << i;
+  }
+}
+
+TEST(SweepSpecFuzz, MutatedFormattedSpecsRejectOrRoundTrip) {
+  // Fragments aimed at the integer and range paths, spliced in whole.
+  const std::vector<std::string> dictionary = {
+      "..", ",", "=", "#", "\n", " ", "0", "-1", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999999", "18446744073709551610..", "0..",
+      "1..4096", "seed = ", "size = ", "topology = ", "sim_threads = ", "wheel", "service",
+      "lock"};
+  const std::string bytes = "0123456789abcxyz .,=#\n\t-_\x01\x7f\xff";
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 0; seed < 3000; ++seed) {
+    std::mt19937_64 rng(seed);
+    const SweepSpec original = random_sweep_spec(rng);
+    if (seed % 100 == 0) expect_round_trip(original, "unmutated seed " + std::to_string(seed));
+    std::string text = format_sweep_spec(original);
+    const std::string donor = format_sweep_spec(random_sweep_spec(rng));
+    for (std::size_t edits = 1 + rng() % 3; edits > 0; --edits) {
+      const std::size_t at = rng() % (text.size() + 1);
+      switch (rng() % 6) {
+        case 0:  // overwrite a byte
+          if (at < text.size()) text[at] = bytes[rng() % bytes.size()];
+          break;
+        case 1:  // insert a byte
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), bytes[rng() % bytes.size()]);
+          break;
+        case 2:  // delete a run of bytes
+          text.erase(std::min(at, text.size()), 1 + rng() % 8);
+          break;
+        case 3:  // truncate
+          text.resize(at);
+          break;
+        case 4: {  // splice in a slice of another spec's text
+          const std::size_t from = rng() % donor.size();
+          text.insert(at, donor, from, 1 + rng() % 40);
+          break;
+        }
+        default:  // insert a dictionary fragment
+          text.insert(at, dictionary[rng() % dictionary.size()]);
+          break;
+      }
+    }
+    const std::string context = "seed " + std::to_string(seed) + " text:\n" + text;
+    const auto start = std::chrono::steady_clock::now();
+    std::optional<SweepSpec> parsed;
+    try {
+      parsed = SweepSpec::parse_string(text);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+    if (parsed) {
+      ++accepted;
+      expect_round_trip(*parsed, context);  // a throw here fails the test
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2)) << context;
+    if (testing::Test::HasFailure()) break;  // one reported case is enough
+  }
+  // The loop must exercise both outcomes.
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(accepted, 100u);
 }
 
 TEST(SweepSpecTest, ParsesEventCoreOptionsAndStampsEveryRun) {

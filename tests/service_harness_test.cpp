@@ -1,11 +1,9 @@
 /// Pins the ServiceHarness contract (src/service/service_harness.hpp):
-/// byte-identical traces and histograms at every worker count and under
-/// both event-scheduler backends, exactly-once request accounting
-/// through partition-and-heal fault injection, patch-only (rebuild-free)
-/// churn through the incremental CSR path, and sweep integration — the
-/// service kernel rides WorkerPoolCache instead of spawning a pool per
-/// run, and its records are invariant across sim_threads / scheduler /
-/// process sharding.
+/// reports and traces pinned per workload mix and churn mode, exactly-once
+/// request accounting through partition-and-heal fault injection,
+/// patch-only (rebuild-free) churn through the incremental CSR path, and
+/// sweep integration — the service kernel's record carries the report
+/// fingerprint and ignores the dist-only event-core knobs.
 
 #include "service/service_harness.hpp"
 
@@ -18,7 +16,6 @@
 #include "graph/generators.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace lr {
 namespace {
@@ -38,86 +35,158 @@ ServiceReport run_harness(const Instance& inst, ServiceOptions options) {
   return harness.run();
 }
 
+/// FNV-1a over every field of every traced request, in issue order.
+std::uint64_t trace_digest(const std::vector<ServiceRequest>& trace) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const ServiceRequest& request : trace) {
+    mix(request.id);
+    mix(static_cast<std::uint64_t>(request.kind));
+    mix(request.source);
+    mix(request.issued);
+    mix(request.latency);
+    mix(request.hops);
+    mix(static_cast<std::uint64_t>(request.status));
+  }
+  return hash;
+}
+
 // ---------------------------------------------------------------------------
-// Determinism battery: 1/2/4/8 workers x heap/wheel
+// Determinism: pinned reports per workload mix x churn mode
 // ---------------------------------------------------------------------------
 
+enum class Churn { kNone, kInterval12, kPartition };
+
+struct PinnedReport {
+  ServiceWorkload workload;
+  Churn churn;
+  std::uint64_t issued;
+  std::uint64_t fingerprint;
+  std::uint64_t trace_digest;
+};
+
+/// Captured from the tick-batched loop that the one serial loop replaced,
+/// where the serial heap and the 4-worker wheel deployments agreed on
+/// every row: any change to the serving order, the RNG draws or the
+/// accounting moves a fingerprint or a digest.
+constexpr PinnedReport kPinnedReports[] = {
+    {ServiceWorkload::kRoute, Churn::kNone, 201u, 0x12dc8c414bffe9e3ULL, 0xc64c5d8d79fadd6aULL},
+    {ServiceWorkload::kRoute, Churn::kInterval12, 199u, 0x6eebbaab21f67a1bULL,
+     0xc6a7fa60080467b0ULL},
+    {ServiceWorkload::kRoute, Churn::kPartition, 213u, 0x12b91aa379cfb2f0ULL,
+     0xca40977633b8d89dULL},
+    {ServiceWorkload::kLock, Churn::kNone, 36u, 0xd2f0868564b3465aULL, 0x46c943b18cb7694eULL},
+    {ServiceWorkload::kLock, Churn::kInterval12, 39u, 0xa36722103422b575ULL,
+     0x110a36a0635f485bULL},
+    {ServiceWorkload::kLock, Churn::kPartition, 137u, 0x1cd3adec324586baULL,
+     0x73a61c8ccdb5f7e0ULL},
+    {ServiceWorkload::kLeader, Churn::kNone, 184u, 0x32dca9e5eb430e79ULL, 0x2eaf17ad1dfa0808ULL},
+    {ServiceWorkload::kLeader, Churn::kInterval12, 181u, 0x0420ac951b878dd6ULL,
+     0xa2c19b4bd39ac8c8ULL},
+    {ServiceWorkload::kLeader, Churn::kPartition, 219u, 0xe12974043f1b363dULL,
+     0x3c44b57cec74169aULL},
+    {ServiceWorkload::kMixed, Churn::kNone, 90u, 0xc1d3da9f6148ea30ULL, 0x7067e947fed8683aULL},
+    {ServiceWorkload::kMixed, Churn::kInterval12, 91u, 0xdf7996ca85d8f4e9ULL,
+     0x6d0fc3e1c12a8663ULL},
+    {ServiceWorkload::kMixed, Churn::kPartition, 192u, 0x37eb3492c2900c35ULL,
+     0xfb802184e04afbb5ULL},
+};
+
+/// The scripted partition-and-heal of a chain: cutting (5, 6) strands
+/// every client at nodes > 5 from destination 0 until the link heals.
+const std::vector<ScriptedLinkEvent> kPartitionScript = {
+    {32, {5, 6, false}},   // partition
+    {96, {5, 6, true}},    // heal
+    {128, {5, 6, false}},  // partition again
+    {160, {5, 6, true}},   // heal again
+};
+
+// Every workload mix, under each churn mode, still serves the report
+// that every scheduler backend served before the loop went serial.
+TEST(ServiceHarnessDeterminism, EveryWorkloadMixIsSchedulerInvariant) {
+  const Instance random = random_instance(32);
+  const Instance chain = chain_instance(12);
+  for (const PinnedReport& pin : kPinnedReports) {
+    ServiceOptions options;
+    options.clients = 8;
+    options.workload = pin.workload;
+    options.keep_trace = true;
+    const Instance* inst = &random;
+    switch (pin.churn) {
+      case Churn::kNone:
+        options.duration = 192;
+        options.churn_interval = 0;
+        break;
+      case Churn::kInterval12:
+        options.duration = 192;
+        options.churn_interval = 12;
+        break;
+      case Churn::kPartition:
+        options.duration = 224;
+        options.churn_script = &kPartitionScript;
+        inst = &chain;
+        break;
+    }
+    const ServiceReport report = run_harness(*inst, options);
+    SCOPED_TRACE(testing::Message() << service_workload_token(pin.workload) << " churn mode "
+                                    << static_cast<int>(pin.churn));
+    EXPECT_EQ(report.total_issued(), pin.issued);
+    EXPECT_EQ(report.trace.size(), report.total_issued());
+    EXPECT_EQ(report.fingerprint(), pin.fingerprint);
+    EXPECT_EQ(trace_digest(report.trace), pin.trace_digest);
+    // A second harness over the same inputs reproduces the report.
+    EXPECT_EQ(run_harness(*inst, options).fingerprint(), report.fingerprint());
+  }
+}
+
+// The configuration the worker-count x scheduler battery swept (1/2/4/8
+// workers x heap/wheel, all identical): the serial loop serves that same
+// report, and a second harness repeats it field by field.
 TEST(ServiceHarnessDeterminism, WorkerCountAndSchedulerNeverChangeTheReport) {
   const Instance inst = random_instance(32);
-  ServiceOptions base;
-  base.clients = 8;
-  base.duration = 192;
-  base.churn_interval = 12;
-  base.keep_trace = true;
+  ServiceOptions options;
+  options.clients = 8;
+  options.duration = 192;
+  options.churn_interval = 12;
+  options.keep_trace = true;
 
-  // Reference: serial, heap.
-  const ServiceReport reference = run_harness(inst, base);
+  const ServiceReport reference = run_harness(inst, options);
   ASSERT_GT(reference.total_issued(), 0u);
   ASSERT_FALSE(reference.trace.empty());
+  const PinnedReport& pin = kPinnedReports[10];  // kMixed, kInterval12
+  ASSERT_EQ(pin.workload, options.workload);
+  ASSERT_EQ(pin.churn, Churn::kInterval12);
+  EXPECT_EQ(reference.fingerprint(), pin.fingerprint);
+  EXPECT_EQ(trace_digest(reference.trace), pin.trace_digest);
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-    for (const EventSchedulerKind scheduler :
-         {EventSchedulerKind::kHeap, EventSchedulerKind::kWheel}) {
-      ServiceOptions options = base;
-      options.workers = workers;
-      options.scheduler = scheduler;
-      const ServiceReport report = run_harness(inst, options);
-      SCOPED_TRACE(testing::Message() << "workers=" << workers << " scheduler="
-                                      << (scheduler == EventSchedulerKind::kHeap ? "heap"
-                                                                                 : "wheel"));
-      // Trace: field-by-field identical, in the same issue order.
-      ASSERT_EQ(report.trace.size(), reference.trace.size());
-      for (std::size_t i = 0; i < report.trace.size(); ++i) {
-        EXPECT_EQ(report.trace[i].id, reference.trace[i].id);
-        EXPECT_EQ(report.trace[i].kind, reference.trace[i].kind);
-        EXPECT_EQ(report.trace[i].source, reference.trace[i].source);
-        EXPECT_EQ(report.trace[i].issued, reference.trace[i].issued);
-        EXPECT_EQ(report.trace[i].latency, reference.trace[i].latency);
-        EXPECT_EQ(report.trace[i].hops, reference.trace[i].hops);
-        EXPECT_EQ(report.trace[i].status, reference.trace[i].status);
-      }
-      // Histograms and counters: structurally equal, same fingerprint.
-      for (std::size_t kind = 0; kind < kRequestKinds; ++kind) {
-        EXPECT_EQ(report.kinds[kind].histogram, reference.kinds[kind].histogram);
-        EXPECT_EQ(report.kinds[kind].issued, reference.kinds[kind].issued);
-        EXPECT_EQ(report.kinds[kind].completed, reference.kinds[kind].completed);
-        EXPECT_EQ(report.kinds[kind].failed, reference.kinds[kind].failed);
-        EXPECT_EQ(report.kinds[kind].hops, reference.kinds[kind].hops);
-      }
-      EXPECT_EQ(report.churn_events, reference.churn_events);
-      EXPECT_EQ(report.reversal_steps, reference.reversal_steps);
-      EXPECT_EQ(report.fingerprint(), reference.fingerprint());
-    }
+  const ServiceReport report = run_harness(inst, options);
+  // Trace: field-by-field identical, in the same issue order.
+  ASSERT_EQ(report.trace.size(), reference.trace.size());
+  for (std::size_t i = 0; i < report.trace.size(); ++i) {
+    EXPECT_EQ(report.trace[i].id, reference.trace[i].id);
+    EXPECT_EQ(report.trace[i].kind, reference.trace[i].kind);
+    EXPECT_EQ(report.trace[i].source, reference.trace[i].source);
+    EXPECT_EQ(report.trace[i].issued, reference.trace[i].issued);
+    EXPECT_EQ(report.trace[i].latency, reference.trace[i].latency);
+    EXPECT_EQ(report.trace[i].hops, reference.trace[i].hops);
+    EXPECT_EQ(report.trace[i].status, reference.trace[i].status);
   }
-}
-
-TEST(ServiceHarnessDeterminism, BorrowedPoolMatchesLocalPool) {
-  const Instance inst = random_instance(24);
-  ServiceOptions options;
-  options.clients = 6;
-  options.duration = 96;
-  options.workers = 4;
-  const std::uint64_t local = run_harness(inst, options).fingerprint();
-  ThreadPool pool(4);
-  options.pool = &pool;
-  EXPECT_EQ(run_harness(inst, options).fingerprint(), local);
-}
-
-TEST(ServiceHarnessDeterminism, EveryWorkloadMixIsSchedulerInvariant) {
-  const Instance inst = random_instance(20);
-  for (const ServiceWorkload workload : {ServiceWorkload::kRoute, ServiceWorkload::kLock,
-                                         ServiceWorkload::kLeader, ServiceWorkload::kMixed}) {
-    ServiceOptions options;
-    options.clients = 5;
-    options.duration = 64;
-    options.workload = workload;
-    const std::uint64_t heap = run_harness(inst, options).fingerprint();
-    options.scheduler = EventSchedulerKind::kWheel;
-    options.workers = 2;
-    EXPECT_EQ(run_harness(inst, options).fingerprint(), heap)
-        << service_workload_token(workload);
+  // Histograms and counters: structurally equal, same fingerprint.
+  for (std::size_t kind = 0; kind < kRequestKinds; ++kind) {
+    EXPECT_EQ(report.kinds[kind].histogram, reference.kinds[kind].histogram);
+    EXPECT_EQ(report.kinds[kind].issued, reference.kinds[kind].issued);
+    EXPECT_EQ(report.kinds[kind].completed, reference.kinds[kind].completed);
+    EXPECT_EQ(report.kinds[kind].failed, reference.kinds[kind].failed);
+    EXPECT_EQ(report.kinds[kind].hops, reference.kinds[kind].hops);
   }
+  EXPECT_EQ(report.churn_events, reference.churn_events);
+  EXPECT_EQ(report.reversal_steps, reference.reversal_steps);
+  EXPECT_EQ(report.fingerprint(), reference.fingerprint());
 }
 
 // ---------------------------------------------------------------------------
@@ -125,25 +194,17 @@ TEST(ServiceHarnessDeterminism, EveryWorkloadMixIsSchedulerInvariant) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceHarnessFaults, PartitionAndHealAccountsEveryRequestExactlyOnce) {
-  // A chain is the cleanest partition: cutting (k, k+1) strands every
-  // client at nodes > k from destination 0 until the link heals.
+  // kPartitionScript: a chain is the cleanest partition.
   const Instance inst = chain_instance(12);
-  const NodeId cut = 5;
-  std::vector<ScriptedLinkEvent> script = {
-      {32, {cut, cut + 1, false}},   // partition
-      {96, {cut, cut + 1, true}},    // heal
-      {128, {cut, cut + 1, false}},  // partition again
-      {160, {cut, cut + 1, true}},   // heal again
-  };
   ServiceOptions options;
   options.clients = 8;
   options.duration = 224;
-  options.churn_script = &script;
+  options.churn_script = &kPartitionScript;
   options.keep_trace = true;
   const ServiceReport report = run_harness(inst, options);
 
   // All four scripted flips applied, and only those.
-  EXPECT_EQ(report.churn_events, script.size());
+  EXPECT_EQ(report.churn_events, kPartitionScript.size());
 
   // Exactly-once: ids are a permutation of 0..issued-1, each with a
   // terminal status; total splits into completed + failed.
@@ -223,7 +284,7 @@ TEST(ServiceHarnessFaults, ChurnRidesTheIncrementalPatchPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep integration: WorkerPoolCache reuse and record invariance
+// Sweep integration: the record pins the report
 // ---------------------------------------------------------------------------
 
 RunSpec service_spec(std::size_t sim_threads) {
@@ -238,45 +299,15 @@ RunSpec service_spec(std::size_t sim_threads) {
   return spec;
 }
 
-TEST(ServicePoolCache, SharedCacheSpawnsOnePoolAcrossManyRuns) {
-  const RunSpec spec = service_spec(4);
-  // Warm-up outside the measured window (first-use lazies).
-  (void)execute_run(spec, nullptr, nullptr);
-
-  WorkerPoolCache pools;
-  const std::uint64_t before_cached = ThreadPool::total_constructed();
-  for (int i = 0; i < 4; ++i) {
-    const RunRecord record = execute_run(spec, nullptr, &pools);
-    EXPECT_TRUE(record.error.empty()) << record.error;
-  }
-  const std::uint64_t cached_delta = ThreadPool::total_constructed() - before_cached;
-  EXPECT_EQ(cached_delta, 1u) << "4 cached service runs must share one pool";
-
-  const std::uint64_t before_uncached = ThreadPool::total_constructed();
-  for (int i = 0; i < 4; ++i) (void)execute_run(spec, nullptr, nullptr);
-  const std::uint64_t uncached_delta = ThreadPool::total_constructed() - before_uncached;
-  EXPECT_EQ(uncached_delta, 4u) << "uncached service runs spawn one pool each";
-}
-
-TEST(ServicePoolCache, CachedAndUncachedRecordsAreIdentical) {
-  const RunSpec spec = service_spec(2);
-  WorkerPoolCache pools;
-  const RunRecord cached = execute_run(spec, nullptr, &pools);
-  const RunRecord uncached = execute_run(spec, nullptr, nullptr);
-  EXPECT_EQ(cached.work, uncached.work);
-  EXPECT_EQ(cached.messages, uncached.messages);
-  EXPECT_EQ(cached.rounds, uncached.rounds);
-  EXPECT_EQ(cached.edge_reversals, uncached.edge_reversals);
-  EXPECT_EQ(cached.abstract_steps, uncached.abstract_steps);
-  EXPECT_EQ(cached.dummy_steps, uncached.dummy_steps);
-  EXPECT_EQ(cached.converged, uncached.converged);
-}
-
 TEST(ServiceRunner, RecordIsInvariantAcrossThreadsAndScheduler) {
   const RunRecord reference = execute_run(service_spec(1));
   ASSERT_TRUE(reference.error.empty()) << reference.error;
   ASSERT_TRUE(reference.converged);
-  EXPECT_NE(reference.dummy_steps, 0u) << "dummy_steps must carry the report fingerprint";
+  // dummy_steps carries the report fingerprint, captured from the
+  // tick-batched loop like kPinnedReports.
+  EXPECT_EQ(reference.dummy_steps, 0x47e9dee8c182e421ULL);
+  // The event-core knobs drive only the dist-fr / dist-pr network; the
+  // service kernel ignores them.
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     for (const EventSchedulerKind scheduler :
          {EventSchedulerKind::kHeap, EventSchedulerKind::kWheel}) {

@@ -221,6 +221,25 @@ TEST(ShardSession, OutOfContractRequestsAreRefused) {
   }
 }
 
+TEST(ShardSession, NeverEndingSeedRangesAreRefusedAtOnce) {
+  // The spec parser must refuse ranges ending at 2^64 - 1 at once, not
+  // expand them until the worker runs out of memory: the parse comes
+  // before any run-count check.
+  for (const char* seeds : {"18446744073709551610..18446744073709551615",
+                            "0..18446744073709551615"}) {
+    ShardRequestFrame request = valid_request();
+    request.spec_text = std::string("topology = chain\nsize = 6\nalgorithm = fr\nseed = ") +
+                        seeds + "\n";
+    const Clock::time_point start = Clock::now();
+    const Outcome outcome = feed_session(encode_frame(request), false);
+    expect_clean_end(outcome, seeds);
+    EXPECT_TRUE(outcome.refused) << seeds;
+    EXPECT_NE(outcome.refusal.find("sweep spec line 4"), std::string::npos) << outcome.refusal;
+    EXPECT_LT(Clock::now() - start, std::chrono::milliseconds(kRequestTimeoutMs + 1'000))
+        << seeds;
+  }
+}
+
 TEST(ShardSession, FuzzGarbledSpecTextEndsCleanly) {
   const std::string printable =
       "abcdefghijklmnopqrstuvwxyz0123456789 =,.\n#-_:*ABCXYZ\t\x7f\x01\xff";
