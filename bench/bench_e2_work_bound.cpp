@@ -12,11 +12,12 @@
 ///     quadratic ceiling.
 ///  4. Empirical PR worst case: max work/n_b over random instances and an
 ///     adversarial scheduler sweep.
-///  5. A/B execution-path comparison (docs/PERFORMANCE.md): the batched
-///     CSR engine vs the legacy automaton path on the stock E2 scenario
-///     set.  Result tables must be byte-identical and final-state
-///     checksums must match — the harness exits non-zero otherwise — and
-///     the per-iteration nanoseconds on the largest stock topology are the
+///  5. Oracle gate (docs/PERFORMANCE.md): every run of the stock E2
+///     scenario set is replayed through the paper-shaped automata, and the
+///     batched engine's records must match them field for field; the
+///     chain and layered timing rows also demand equal final-orientation
+///     checksums — the harness exits non-zero otherwise.  The
+///     per-iteration nanoseconds on the largest stock topology are the
 ///     committed baseline numbers.
 ///  6. Parallel greedy rounds: the engine's sharded worklist kernels vs
 ///     the serial kernel across thread counts, plus the runner-level
@@ -174,11 +175,11 @@ void print_pr_adversarial_search(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// E2.5: the legacy-vs-CSR A/B comparison
+// E2.5: the batched engine checked and timed against the paper automata
 // ---------------------------------------------------------------------------
 
-/// The stock E2 scenario set (series 1–3), the set the A/B equality check
-/// replays on both execution paths.
+/// The stock E2 scenario set (series 1–3), the set the oracle gate replays
+/// through the automata.
 std::vector<RunSpec> stock_specs(bool smoke) {
   std::vector<RunSpec> specs;
   for (std::size_t nb = 4; nb <= max_chain_nb(smoke); nb *= 2) {
@@ -190,9 +191,9 @@ std::vector<RunSpec> stock_specs(bool smoke) {
   return specs;
 }
 
-/// Final-orientation checksum of one spec on the legacy path (automaton +
+/// Final-orientation checksum of one spec on the automata (automaton +
 /// LowestIdScheduler, the stock chain-series configuration).
-std::uint64_t legacy_checksum(const RunSpec& spec) {
+std::uint64_t automata_checksum(const RunSpec& spec) {
   const Instance instance = make_instance(spec);
   LowestIdScheduler scheduler;
   if (spec.algorithm == AlgorithmKind::kFullReversal) {
@@ -205,8 +206,8 @@ std::uint64_t legacy_checksum(const RunSpec& spec) {
   return senses_checksum(automaton.orientation().senses());
 }
 
-/// Final-orientation checksum of one spec on the CSR path.
-std::uint64_t csr_checksum(const RunSpec& spec) {
+/// Final-orientation checksum of one spec on the batched engine.
+std::uint64_t engine_checksum(const RunSpec& spec) {
   const Instance instance = make_instance(spec);
   ReversalEngine engine(instance);
   engine.run(spec.algorithm == AlgorithmKind::kFullReversal ? EngineAlgorithm::kFullReversal
@@ -215,73 +216,102 @@ std::uint64_t csr_checksum(const RunSpec& spec) {
   return engine.state_checksum();
 }
 
-/// Times execute_run (instance construction + kernel + greedy rounds, the
-/// exact per-run work of a sweep) on both paths for one scenario.  The
-/// checksum helpers above verify the lowest-id configuration, so that is
-/// the only scheduler this harness accepts.
-bench::AbSample measure_ab(const std::string& topology_label, RunSpec spec, bool smoke) {
+/// One timing row: execute_run (instance construction + kernel + greedy
+/// rounds, the exact per-run work of a sweep) against the automata called
+/// directly (bench::automata_record) on one scenario, with each side's
+/// final-orientation checksum so a speedup over a *different* result
+/// cannot slip through.
+struct OracleSample {
+  std::string topology;                  ///< instance label, e.g. "chain-512"
+  std::string kernel;                    ///< "fr" or "pr"
+  std::uint64_t automata_iterations = 0;  ///< timing iterations, automata
+  std::uint64_t engine_iterations = 0;    ///< timing iterations, execute_run
+  double automata_ns_per_iter = 0.0;     ///< automata, ns per run
+  double engine_ns_per_iter = 0.0;       ///< execute_run, ns per run
+  std::uint64_t automata_checksum = 0;   ///< final orientation, automata
+  std::uint64_t engine_checksum = 0;     ///< final orientation, engine
+
+  /// Automata time over engine time (>1 means the engine is faster).
+  double speedup() const {
+    return engine_ns_per_iter > 0.0 ? automata_ns_per_iter / engine_ns_per_iter : 0.0;
+  }
+  bool identical() const { return automata_checksum == engine_checksum; }
+};
+
+/// The checksum helpers above verify the lowest-id configuration, so that
+/// is the only scheduler this harness accepts.
+OracleSample measure_oracle(const std::string& topology_label, const RunSpec& spec, bool smoke) {
   if (spec.scheduler != SchedulerKind::kLowestId) {
-    throw std::invalid_argument("measure_ab: checksums are computed for lowest-id only");
+    throw std::invalid_argument("measure_oracle: checksums are computed for lowest-id only");
   }
   const double min_ms = smoke ? 20.0 : 300.0;
-  bench::AbSample sample;
+  OracleSample sample;
   sample.topology = topology_label;
-  sample.label = algorithm_token(spec.algorithm);
-  spec.path = ExecutionPath::kLegacy;
-  sample.legacy_ns_per_iter = bench::measure_ns_per_iter(
-      [&spec] { execute_run(spec); }, 5, min_ms, &sample.legacy_iterations);
-  sample.legacy_checksum = legacy_checksum(spec);
-  spec.path = ExecutionPath::kCsr;
-  sample.csr_ns_per_iter = bench::measure_ns_per_iter([&spec] { execute_run(spec); }, 5, min_ms,
-                                                      &sample.csr_iterations);
-  sample.csr_checksum = csr_checksum(spec);
+  sample.kernel = algorithm_token(spec.algorithm);
+  sample.automata_ns_per_iter = bench::measure_ns_per_iter(
+      [&spec] { bench::automata_record(spec); }, 5, min_ms, &sample.automata_iterations);
+  sample.automata_checksum = automata_checksum(spec);
+  sample.engine_ns_per_iter = bench::measure_ns_per_iter([&spec] { execute_run(spec); }, 5,
+                                                         min_ms, &sample.engine_iterations);
+  sample.engine_checksum = engine_checksum(spec);
   return sample;
 }
 
-/// E2.5 driver; returns false (failing the harness) if any path pair
-/// diverged in tables or checksums.
-bool print_ab_series(bool smoke) {
-  bench::print_header("E2.5: execution-path A/B, legacy automata vs batched CSR engine",
-                      "identical tables and final states; CSR >= 3x on the largest "
+/// E2.5 driver; returns false (failing the harness) if any engine record
+/// or final orientation diverged from the automata.
+bool print_oracle_series(bool smoke) {
+  bench::print_header("E2.5: batched engine vs paper automata (oracle gate + timing)",
+                      "identical records and final states; engine >= 3x on the largest "
                       "stock topology (docs/PERFORMANCE.md)");
-  const bool tables_ok = bench::ab_tables_identical(stock_specs(smoke));
+  const bool records_ok = bench::records_match_automata(stock_specs(smoke));
 
   const std::size_t nb = max_chain_nb(smoke);
-  std::vector<bench::AbSample> samples;
+  std::vector<OracleSample> samples;
   const std::string chain_label = "chain-" + std::to_string(nb);
-  samples.push_back(measure_ab(chain_label, chain_spec(nb + 1, AlgorithmKind::kFullReversal),
-                               smoke));
-  samples.push_back(measure_ab(chain_label, chain_spec(nb + 1, AlgorithmKind::kOneStepPR),
-                               smoke));
+  samples.push_back(measure_oracle(chain_label, chain_spec(nb + 1, AlgorithmKind::kFullReversal),
+                                   smoke));
+  samples.push_back(measure_oracle(chain_label, chain_spec(nb + 1, AlgorithmKind::kOneStepPR),
+                                   smoke));
   if (!smoke) {
     RunSpec layered;
     layered.topology = TopologyKind::kLayered;
     layered.size = 112;
     layered.seed = 1;
     layered.algorithm = AlgorithmKind::kFullReversal;
-    samples.push_back(measure_ab("layered-112", layered, smoke));
+    samples.push_back(measure_oracle("layered-112", layered, smoke));
     layered.algorithm = AlgorithmKind::kOneStepPR;
-    samples.push_back(measure_ab("layered-112", layered, smoke));
+    samples.push_back(measure_oracle("layered-112", layered, smoke));
   }
-  bench::emit_csv(bench::ab_table(samples));
-
+  Table table;
+  table.columns = {"topology",           "kernel",           "automata_iterations",
+                   "engine_iterations",  "automata_ns_per_iter", "engine_ns_per_iter",
+                   "speedup",            "automata_checksum", "engine_checksum",
+                   "identical"};
   bool checksums_ok = true;
-  for (const bench::AbSample& sample : samples) checksums_ok &= sample.identical();
+  for (const OracleSample& sample : samples) {
+    checksums_ok &= sample.identical();
+    table.add_row({sample.topology, sample.kernel, bench::fmt_u(sample.automata_iterations),
+                   bench::fmt_u(sample.engine_iterations),
+                   bench::fmt(sample.automata_ns_per_iter), bench::fmt(sample.engine_ns_per_iter),
+                   bench::fmt(sample.speedup()), bench::fmt_hex(sample.automata_checksum),
+                   bench::fmt_hex(sample.engine_checksum), sample.identical() ? "yes" : "NO"});
+  }
+  bench::emit_csv(table);
   std::printf("checksums: %s\n", checksums_ok ? "all identical" : "MISMATCH");
   if (!smoke) {
     std::printf("largest stock topology (%s) speedup: fr=%.2fx pr=%.2fx (target >= 3x)\n",
                 chain_label.c_str(), samples[0].speedup(), samples[1].speedup());
   }
-  return tables_ok && checksums_ok;
+  return records_ok && checksums_ok;
 }
 
 // ---------------------------------------------------------------------------
 // E2.6: parallel greedy rounds — serial engine vs sharded worklist kernels
 // ---------------------------------------------------------------------------
 
-/// One rounds A/B measurement on a fixed instance: the legacy maximal-set
-/// path (analysis/rounds.hpp, the ExecutionPath::kLegacy counterpart) vs
-/// the batched engine serial and sharded with pools of 2 / 4 workers.
+/// One rounds A/B measurement on a fixed instance: the paper's maximal-set
+/// rounds (analysis/rounds.hpp, the oracle the engine is checked against)
+/// vs the batched engine serial and sharded with pools of 2 / 4 workers.
 /// Every engine configuration is checksum-verified against the serial
 /// result, and the legacy path against the round/step totals, before any
 /// timing is trusted.
@@ -354,8 +384,8 @@ RoundsSample measure_parallel_rounds(const std::string& label, const Instance& i
 /// E2.6 driver; returns false if any thread count diverged from the serial
 /// kernel (results or final orientation).  Also replays a stock scenario
 /// subset through the runner at engine_threads 1 vs 4 and demands
-/// byte-identical record + aggregate tables — the ExecutionPath-style
-/// harness for the engine_threads sweep option.
+/// byte-identical record + aggregate tables — the equality harness for
+/// the engine_threads sweep option.
 bool print_parallel_rounds_series(bool smoke) {
   bench::print_header(
       "E2.6: parallel greedy rounds, serial vs sharded worklist kernels",
@@ -505,8 +535,8 @@ int main(int argc, char** argv) {
   lr::print_chain_series(smoke);
   lr::print_layered_series(smoke);
   lr::print_pr_adversarial_search(smoke);
-  if (!lr::print_ab_series(smoke)) {
-    std::fprintf(stderr, "E2.5 A/B verification FAILED\n");
+  if (!lr::print_oracle_series(smoke)) {
+    std::fprintf(stderr, "E2.5 oracle verification FAILED\n");
     return 1;
   }
   if (!lr::print_parallel_rounds_series(smoke)) {

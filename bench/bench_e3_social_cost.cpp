@@ -13,13 +13,12 @@
 /// check) is a game-theoretic analysis, not a run measurement, and stays
 /// on the analysis layer directly.
 ///
-/// E3.5 is the execution-path A/B mode (docs/PERFORMANCE.md): the social
-/// cost kernels (fr / pr / newpr) replayed on `path = legacy` (the
-/// paper-shaped automata) versus `path = csr` (the batched engine over the
-/// sweep cache's frozen instances).  Record tables must be byte-identical
-/// (FNV-1a table checksums) before the timings are trusted; the harness
-/// exits non-zero otherwise.  `--smoke` shrinks every series to seconds,
-/// skips the micro-timings, and is wired into the CI bench-smoke job.
+/// E3.5 is the oracle gate (docs/PERFORMANCE.md): every social cost
+/// kernel (fr / pr / newpr) of the stock scenario set is replayed through
+/// the paper-shaped automata, and the batched engine's records must match
+/// them field for field; the harness exits non-zero otherwise.  `--smoke`
+/// shrinks every series to seconds, skips the micro-timings, and is wired
+/// into the CI bench-smoke job.
 
 #include <benchmark/benchmark.h>
 
@@ -162,10 +161,10 @@ void print_nash_table() {
 }
 
 // ---------------------------------------------------------------------------
-// E3.5: the legacy-vs-CSR A/B comparison of the social cost kernels
+// E3.5: the social cost kernels checked against the paper automata
 // ---------------------------------------------------------------------------
 
-/// The stock A/B scenario set: every strategy kernel over the structured
+/// The stock oracle scenario set: every strategy kernel over the structured
 /// families and a random-graph slice, across two schedulers.
 std::vector<RunSpec> stock_specs(bool smoke) {
   const std::vector<std::pair<TopologyKind, std::size_t>> families =
@@ -199,35 +198,13 @@ std::vector<RunSpec> stock_specs(bool smoke) {
   return specs;
 }
 
-/// E3.5 driver; returns false (failing the harness) if any path pair
-/// diverged in tables or checksums.  The equality check, the warm-cache
-/// timing protocol, and the checksum columns are the shared kit in
-/// bench_util.hpp (the same harness as E2.5 / E5.2 / E7.6).
-bool print_ab_series(bool smoke) {
-  bench::print_header("E3.5: execution-path A/B, legacy automata vs batched CSR engine",
-                      "identical tables and table checksums for the social cost kernels "
-                      "(docs/PERFORMANCE.md records the speedups)");
-  const bool tables_ok = bench::ab_tables_identical(stock_specs(smoke));
-
-  const std::size_t n = smoke ? 16 : 128;
-  const std::string label = "random-" + std::to_string(n);
-  std::vector<bench::AbSample> samples;
-  for (const AlgorithmKind algorithm : {AlgorithmKind::kFullReversal,
-                                        AlgorithmKind::kOneStepPR, AlgorithmKind::kNewPR}) {
-    RunSpec spec;
-    spec.topology = TopologyKind::kRandom;
-    spec.size = n;
-    spec.algorithm = algorithm;
-    spec.scheduler = SchedulerKind::kLowestId;
-    spec.seed = 1;
-    samples.push_back(bench::measure_cached_ab(label, spec, smoke ? 20.0 : 300.0));
-  }
-  bench::emit_csv(bench::ab_table(samples));
-
-  bool checksums_ok = true;
-  for (const bench::AbSample& sample : samples) checksums_ok &= sample.identical();
-  std::printf("table checksums: %s\n", checksums_ok ? "all identical" : "MISMATCH");
-  return tables_ok && checksums_ok;
+/// E3.5 driver; returns false (failing the harness) if any engine record
+/// differs from the automata oracle (bench_util.hpp).
+bool print_oracle_series(bool smoke) {
+  bench::print_header("E3.5: batched engine vs paper automata (oracle gate)",
+                      "identical work, reversals, dummies and rounds for the social cost "
+                      "kernels");
+  return bench::records_match_automata(stock_specs(smoke));
 }
 
 void BM_MeasureCostPR(benchmark::State& state) {
@@ -263,8 +240,8 @@ int main(int argc, char** argv) {
     lr::print_scheduler_table();
     lr::print_nash_table();
   }
-  if (!lr::print_ab_series(smoke)) {
-    std::fprintf(stderr, "E3.5 A/B verification FAILED\n");
+  if (!lr::print_oracle_series(smoke)) {
+    std::fprintf(stderr, "E3.5 oracle verification FAILED\n");
     return 1;
   }
   if (smoke) return 0;

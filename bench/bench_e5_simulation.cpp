@@ -8,16 +8,6 @@
 /// the scenario runner (src/runner), i.e. the same relation-check code
 /// `lr_cli sweep` executes, fanned out over the thread pool.
 ///
-/// E5.2 is the execution-path A/B mode (docs/PERFORMANCE.md): the sim-*
-/// kernels replayed on `path = legacy` (per-run instance regeneration)
-/// versus `path = csr` (the sweep cache's frozen instances).  The relation
-/// checkers themselves are inherently legacy-shaped — they drive the
-/// paper's automata step by step — so this A/B isolates exactly the sweep
-/// cache's instance-amortization win.  Record tables must be
-/// byte-identical (FNV-1a table checksums) before the timings are trusted;
-/// the harness exits non-zero otherwise.  `--smoke` shrinks the series,
-/// skips the micro-timings, and also fails on any relation violation.
-///
 /// E5.3 is the event-core scheduler A/B: a self-replenishing event storm
 /// replayed on the binary-heap and timing-wheel time-index backends
 /// (sim/time_index.hpp), with an execution-order FNV fingerprint that both
@@ -80,65 +70,6 @@ bool print_expansion_table(bool smoke) {
                       bench::fmt(expansion), holds ? "yes" : "NO"});
   }
   return all_hold;
-}
-
-// ---------------------------------------------------------------------------
-// E5.2: the legacy-vs-CSR A/B comparison of the sim-* kernels
-// ---------------------------------------------------------------------------
-
-/// The stock E5 scenario set the A/B equality check replays on both paths.
-std::vector<RunSpec> stock_specs(bool smoke) {
-  const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{12} : std::vector<std::size_t>{16, 48};
-  const std::vector<std::uint64_t> seeds =
-      smoke ? std::vector<std::uint64_t>{1} : std::vector<std::uint64_t>{1, 2, 3};
-  std::vector<RunSpec> specs;
-  for (const std::size_t size : sizes) {
-    for (const AlgorithmKind algorithm :
-         {AlgorithmKind::kSimRPrime, AlgorithmKind::kSimR, AlgorithmKind::kSimRRev}) {
-      for (const std::uint64_t seed : seeds) {
-        RunSpec spec;
-        spec.topology = TopologyKind::kRandom;
-        spec.size = size;
-        spec.algorithm = algorithm;
-        spec.scheduler = SchedulerKind::kRandom;
-        spec.seed = seed;
-        specs.push_back(spec);
-      }
-    }
-  }
-  return specs;
-}
-
-/// E5.2 driver; returns false (failing the harness) if any path pair
-/// diverged in tables or checksums.  The equality check, the warm-cache
-/// timing protocol, and the checksum columns are the shared kit in
-/// bench_util.hpp.
-bool print_ab_series(bool smoke) {
-  bench::print_header("E5.2: execution-path A/B, per-run regeneration vs cached instances",
-                      "identical tables and table checksums; csr amortizes instance "
-                      "generation across a sweep (docs/PERFORMANCE.md)");
-  const bool tables_ok = bench::ab_tables_identical(stock_specs(smoke));
-
-  const std::size_t n = smoke ? 12 : 48;
-  const std::string label = "random-" + std::to_string(n);
-  std::vector<bench::AbSample> samples;
-  for (const AlgorithmKind algorithm :
-       {AlgorithmKind::kSimRPrime, AlgorithmKind::kSimR, AlgorithmKind::kSimRRev}) {
-    RunSpec spec;
-    spec.topology = TopologyKind::kRandom;
-    spec.size = n;
-    spec.algorithm = algorithm;
-    spec.scheduler = SchedulerKind::kRandom;
-    spec.seed = 1;
-    samples.push_back(bench::measure_cached_ab(label, spec, smoke ? 20.0 : 300.0));
-  }
-  bench::emit_csv(bench::ab_table(samples));
-
-  bool checksums_ok = true;
-  for (const bench::AbSample& sample : samples) checksums_ok &= sample.identical();
-  std::printf("table checksums: %s\n", checksums_ok ? "all identical" : "MISMATCH");
-  return tables_ok && checksums_ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -257,10 +188,6 @@ int main(int argc, char** argv) {
   const bool relations_ok = lr::print_expansion_table(smoke);
   if (smoke && !relations_ok) {
     std::fprintf(stderr, "E5.1 relation check FAILED\n");
-    return 1;
-  }
-  if (!lr::print_ab_series(smoke)) {
-    std::fprintf(stderr, "E5.2 A/B verification FAILED\n");
     return 1;
   }
   if (!lr::print_event_core_series(smoke)) {

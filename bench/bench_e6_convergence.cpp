@@ -4,13 +4,12 @@
 /// *liveness* side (how fast quiescence arrives) and verifies the
 /// quiescence consistency claim (quiescent iff destination-oriented).
 ///
-/// E6.3 is the execution-path A/B mode (docs/PERFORMANCE.md): the
-/// convergence kernels (fr / pr across all four schedulers) replayed on
-/// `path = legacy` versus `path = csr` through the scenario runner, with
-/// byte-identical record tables demanded (FNV-1a table checksums) before
-/// any timing is trusted — the same self-verifying harness as E2.5 / E3.5
-/// / E5.2 / E7.6.  `--smoke` shrinks the series, skips the micro-timings,
-/// and exits non-zero on any divergence; CI runs it.
+/// E6.3 is the oracle gate (docs/PERFORMANCE.md): the convergence
+/// kernels (fr / pr across all four schedulers) replayed through the
+/// paper-shaped automata, with field-for-field equal engine records
+/// demanded — the same check as E2.5 / E3.5.  `--smoke` shrinks the
+/// series, skips the micro-timings, and exits non-zero on any divergence;
+/// CI runs it.
 
 #include <benchmark/benchmark.h>
 
@@ -90,10 +89,10 @@ void print_rounds_table() {
 }
 
 // ---------------------------------------------------------------------------
-// E6.3: the legacy-vs-CSR A/B comparison of the convergence kernels
+// E6.3: the convergence kernels checked against the paper automata
 // ---------------------------------------------------------------------------
 
-/// The stock A/B scenario set: fr and pr to quiescence under all four
+/// The stock oracle scenario set: fr and pr to quiescence under all four
 /// schedulers over the convergence families (the E6.1 grid, swept).
 std::vector<RunSpec> stock_specs(bool smoke) {
   const std::vector<std::pair<TopologyKind, std::size_t>> families =
@@ -124,35 +123,13 @@ std::vector<RunSpec> stock_specs(bool smoke) {
   return specs;
 }
 
-/// E6.3 driver; returns false (failing the harness) if any path pair
-/// diverged in tables or checksums.
-bool print_ab_series(bool smoke) {
-  bench::print_header("E6.3: execution-path A/B, legacy automata vs batched CSR engine",
-                      "identical tables and table checksums for the convergence kernels "
-                      "across every scheduler (docs/PERFORMANCE.md records the speedups)");
-  const bool tables_ok = bench::ab_tables_identical(stock_specs(smoke));
-
-  const std::size_t n = smoke ? 16 : 128;
-  const std::string label = "random-" + std::to_string(n);
-  std::vector<bench::AbSample> samples;
-  for (const SchedulerKind scheduler :
-       {SchedulerKind::kLowestId, SchedulerKind::kFarthestFirst}) {
-    RunSpec spec;
-    spec.topology = TopologyKind::kRandom;
-    spec.size = n;
-    spec.algorithm = AlgorithmKind::kOneStepPR;
-    spec.scheduler = scheduler;
-    spec.seed = 5;
-    bench::AbSample sample = bench::measure_cached_ab(label, spec, smoke ? 20.0 : 300.0);
-    sample.label = std::string("pr/") + scheduler_token(scheduler);
-    samples.push_back(sample);
-  }
-  bench::emit_csv(bench::ab_table(samples));
-
-  bool checksums_ok = true;
-  for (const bench::AbSample& sample : samples) checksums_ok &= sample.identical();
-  std::printf("table checksums: %s\n", checksums_ok ? "all identical" : "MISMATCH");
-  return tables_ok && checksums_ok;
+/// E6.3 driver; returns false (failing the harness) if any engine record
+/// differs from the automata oracle (bench_util.hpp).
+bool print_oracle_series(bool smoke) {
+  bench::print_header("E6.3: batched engine vs paper automata (oracle gate)",
+                      "identical work, reversals and rounds for the convergence kernels "
+                      "across every scheduler");
+  return bench::records_match_automata(stock_specs(smoke));
 }
 
 void BM_PRConvergenceRandomGraph(benchmark::State& state) {
@@ -187,8 +164,8 @@ int main(int argc, char** argv) {
   const bool smoke = lr::bench::consume_smoke_flag(argc, argv);
   lr::print_convergence_table(smoke);
   lr::print_rounds_table();
-  if (!lr::print_ab_series(smoke)) {
-    std::fprintf(stderr, "E6.3 A/B verification FAILED\n");
+  if (!lr::print_oracle_series(smoke)) {
+    std::fprintf(stderr, "E6.3 oracle verification FAILED\n");
     return 1;
   }
   if (smoke) return 0;

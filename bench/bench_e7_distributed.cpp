@@ -7,15 +7,9 @@
 /// instances; convergence time grows with delay spread; churn adds
 /// maintenance reversals but never breaks delivery in connected periods.
 ///
-/// E7.6 is the execution-path A/B mode (docs/PERFORMANCE.md): the tora /
-/// dist-fr / dist-pr kernels replayed on `path = legacy` (per-run instance
-/// regeneration and per-run CSR freezing) versus `path = csr` (the sweep
-/// cache's frozen Instance + CsrGraph snapshots).  Record tables must be
-/// byte-identical — verified through FNV-1a table checksums — before the
-/// per-run timings are trusted; the harness exits non-zero otherwise.
 /// `--smoke` shrinks every series to seconds and skips the
 /// google-benchmark micro-timings; CI runs it to keep this harness (and
-/// the A/B equivalence) from bit-rotting.
+/// the A/B equivalences below) from bit-rotting.
 ///
 /// E7.7 is the event-core A/B: dist-fr / dist-pr convergence replayed on
 /// the binary-heap and timing-wheel scheduler backends and on the sharded
@@ -184,65 +178,6 @@ void print_loss_recovery_sweep() {
                       bench::fmt_u(proto.total_steps()), bench::fmt_u(net.messages_sent()),
                       proto.converged() ? "yes" : "NO"});
   }
-}
-
-// ---------------------------------------------------------------------------
-// E7.6: the legacy-vs-CSR A/B comparison of the tora / dist-* kernels
-// ---------------------------------------------------------------------------
-
-/// The stock E7 scenario set the A/B equality check replays on both paths.
-std::vector<RunSpec> stock_specs(bool smoke) {
-  const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{12} : std::vector<std::size_t>{16, 32, 64};
-  const std::vector<std::uint64_t> seeds =
-      smoke ? std::vector<std::uint64_t>{1} : std::vector<std::uint64_t>{1, 2};
-  std::vector<RunSpec> specs;
-  for (const TopologyKind topology : {TopologyKind::kChain, TopologyKind::kRandom}) {
-    for (const std::size_t size : sizes) {
-      for (const AlgorithmKind algorithm :
-           {AlgorithmKind::kTora, AlgorithmKind::kDistFR, AlgorithmKind::kDistPR}) {
-        for (const std::uint64_t seed : seeds) {
-          RunSpec spec;
-          spec.topology = topology;
-          spec.size = size;
-          spec.algorithm = algorithm;
-          spec.seed = seed;
-          specs.push_back(spec);
-        }
-      }
-    }
-  }
-  return specs;
-}
-
-/// E7.6 driver; returns false (failing the harness) if any path pair
-/// diverged in tables or checksums.  The equality check, the warm-cache
-/// timing protocol, and the checksum columns are the shared kit in
-/// bench_util.hpp.
-bool print_ab_series(bool smoke) {
-  bench::print_header("E7.6: execution-path A/B, per-run regeneration vs cached CSR snapshots",
-                      "identical tables and table checksums; csr amortizes instance "
-                      "generation + snapshot freezing across a sweep (docs/PERFORMANCE.md)");
-  const bool tables_ok = bench::ab_tables_identical(stock_specs(smoke));
-
-  const std::size_t n = smoke ? 12 : 64;
-  const std::string label = "random-" + std::to_string(n);
-  std::vector<bench::AbSample> samples;
-  for (const AlgorithmKind algorithm :
-       {AlgorithmKind::kTora, AlgorithmKind::kDistFR, AlgorithmKind::kDistPR}) {
-    RunSpec spec;
-    spec.topology = TopologyKind::kRandom;
-    spec.size = n;
-    spec.algorithm = algorithm;
-    spec.seed = 1;
-    samples.push_back(bench::measure_cached_ab(label, spec, smoke ? 20.0 : 300.0));
-  }
-  bench::emit_csv(bench::ab_table(samples));
-
-  bool checksums_ok = true;
-  for (const bench::AbSample& sample : samples) checksums_ok &= sample.identical();
-  std::printf("table checksums: %s\n", checksums_ok ? "all identical" : "MISMATCH");
-  return tables_ok && checksums_ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -508,10 +443,6 @@ int main(int argc, char** argv) {
   lr::print_churn_sweep(smoke);
   lr::print_data_plane_sweep(smoke);
   if (!smoke) lr::print_loss_recovery_sweep();
-  if (!lr::print_ab_series(smoke)) {
-    std::fprintf(stderr, "E7.6 A/B verification FAILED\n");
-    return 1;
-  }
   if (!lr::print_event_core_series(smoke)) {
     std::fprintf(stderr, "E7.7 event-core A/B verification FAILED\n");
     return 1;

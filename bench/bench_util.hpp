@@ -6,10 +6,13 @@
 #include <cstring>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/game.hpp"
+#include "analysis/rounds.hpp"
 #include "runner/runner.hpp"
 #include "trace/report.hpp"
 
@@ -23,13 +26,12 @@
 ///  * machine-readable series emission through the trace layer's Table /
 ///    CSV writer (`emit_csv`) — experiment series should go through this,
 ///    not ad-hoc printf, so sweep output and bench output share one format,
-///  * the self-verifying A/B measurement kit: wall-clock per-iteration
-///    nanoseconds (`measure_ns_per_iter`) plus paired checksums
-///    (`AbSample` / `ab_table`), with the sweep-level building blocks the
-///    E2.5/E5.2/E7.6 modes share (`sweep_report_csv`,
-///    `ab_tables_identical`, `measure_cached_ab`) — every legacy-vs-CSR
-///    comparison proves byte-identical results before its timing is
-///    trusted.
+///  * the self-verifying measurement kit: wall-clock per-iteration
+///    nanoseconds (`measure_ns_per_iter`), table fingerprints
+///    (`sweep_report_csv`, `fnv1a`), and the paper-automata oracle the
+///    E2.5 / E3.5 / E6.3 gates share (`automata_record`,
+///    `records_match_automata`) — the batched engine's records must equal
+///    the Section 3 automata's before any of its numbers are trusted.
 
 namespace lr::bench {
 
@@ -89,9 +91,8 @@ inline std::string fmt_hex(std::uint64_t v) {
 inline void emit_csv(const Table& table) { write_table_csv(std::cout, table); }
 
 /// FNV-1a fingerprint of arbitrary text (e.g. a rendered CSV table).  The
-/// E5/E7 A/B modes hash each path's record table with it, so "both paths
-/// byte-identical" is checked through the same AbSample checksum columns
-/// the E2.5 orientation checksums use.
+/// E7/E10 A/B modes hash each deployment's record table with it, so
+/// "byte-identical" is checked through one fixed-width checksum column.
 inline std::uint64_t fnv1a(std::string_view text) {
   std::uint64_t hash = 1469598103934665603ULL;
   for (const char c : text) {
@@ -122,28 +123,6 @@ double measure_ns_per_iter(F&& fn, std::uint64_t min_iters = 5, double min_total
   return total_ns / static_cast<double>(iters);
 }
 
-/// One legacy-vs-CSR measurement: a labelled kernel timed on both paths,
-/// with the checksum of each path's final state so the comparison is
-/// self-verifying (a speedup over a *different* result is meaningless).
-struct AbSample {
-  std::string label;                     ///< kernel identifier, e.g. "fr"
-  std::string topology;                  ///< instance identifier, e.g. "chain-512"
-  std::uint64_t legacy_iterations = 0;   ///< timing iterations, legacy path
-  std::uint64_t csr_iterations = 0;      ///< timing iterations, CSR path
-  double legacy_ns_per_iter = 0.0;       ///< legacy path, ns per run
-  double csr_ns_per_iter = 0.0;          ///< CSR path, ns per run
-  std::uint64_t legacy_checksum = 0;     ///< final-state checksum, legacy path
-  std::uint64_t csr_checksum = 0;        ///< final-state checksum, CSR path
-
-  /// Legacy time over CSR time (>1 means the CSR path is faster).
-  double speedup() const {
-    return csr_ns_per_iter > 0.0 ? legacy_ns_per_iter / csr_ns_per_iter : 0.0;
-  }
-
-  /// True iff both paths ended in the identical final state.
-  bool identical() const { return legacy_checksum == csr_checksum; }
-};
-
 /// Record + aggregate tables of a sweep report as one CSV blob — the byte
 /// string the A/B equality checks compare and checksum.
 inline std::string sweep_report_csv(const SweepReport& report) {
@@ -154,60 +133,64 @@ inline std::string sweep_report_csv(const SweepReport& report) {
   return oss.str();
 }
 
-/// Replays `specs` on both execution paths through the scenario runner and
-/// demands byte-identical record + aggregate tables; prints the verdict.
-inline bool ab_tables_identical(std::vector<RunSpec> specs) {
-  for (RunSpec& spec : specs) spec.path = ExecutionPath::kLegacy;
-  const std::string legacy = sweep_report_csv(SweepReport{ScenarioRunner().run_all(specs), {}});
-  for (RunSpec& spec : specs) spec.path = ExecutionPath::kCsr;
-  const std::string csr = sweep_report_csv(SweepReport{ScenarioRunner().run_all(specs), {}});
-  const bool identical = legacy == csr;
-  std::printf("A/B tables over %zu stock scenarios x 2 paths: %s\n", specs.size(),
-              identical ? "byte-identical" : "MISMATCH");
-  return identical;
-}
-
-/// Times execute_run on both paths for one scenario: legacy regenerates
-/// the instance (and any CSR snapshot) per run — the per-kernel cost a
-/// sweep used to pay — while csr consumes a warm SweepCache, the steady
-/// per-run cost inside a sweep.  Each path's record table is
-/// fingerprinted with FNV-1a into the AbSample checksum columns, so a
-/// speedup over diverging results cannot slip through.
-inline AbSample measure_cached_ab(const std::string& topology_label, RunSpec spec,
-                                  double min_ms) {
-  AbSample sample;
-  sample.topology = topology_label;
-  sample.label = algorithm_token(spec.algorithm);
-  spec.path = ExecutionPath::kLegacy;
-  sample.legacy_ns_per_iter =
-      measure_ns_per_iter([&spec] { execute_run(spec); }, 5, min_ms, &sample.legacy_iterations);
-  sample.legacy_checksum = fnv1a(sweep_report_csv(SweepReport{ScenarioRunner().run_all({spec}), {}}));
-  spec.path = ExecutionPath::kCsr;
-  SweepCache cache;
-  cache.get(spec);  // warm: the sweep's first run over this workload built it
-  sample.csr_ns_per_iter = measure_ns_per_iter([&spec, &cache] { execute_run(spec, &cache); }, 5,
-                                               min_ms, &sample.csr_iterations);
-  sample.csr_checksum = fnv1a(sweep_report_csv(SweepReport{ScenarioRunner().run_all({spec}), {}}));
-  return sample;
-}
-
-/// Renders A/B samples as a Table with columns
-/// topology,kernel,legacy_iterations,csr_iterations,legacy_ns_per_iter,
-/// csr_ns_per_iter,speedup,legacy_checksum,csr_checksum,identical.
-inline Table ab_table(const std::vector<AbSample>& samples) {
-  Table table;
-  table.columns = {"topology",        "kernel",          "legacy_iterations",
-                   "csr_iterations",  "legacy_ns_per_iter", "csr_ns_per_iter",
-                   "speedup",         "legacy_checksum", "csr_checksum",
-                   "identical"};
-  for (const AbSample& sample : samples) {
-    table.add_row({sample.topology, sample.label, fmt_u(sample.legacy_iterations),
-                   fmt_u(sample.csr_iterations), fmt(sample.legacy_ns_per_iter),
-                   fmt(sample.csr_ns_per_iter), fmt(sample.speedup()),
-                   fmt_hex(sample.legacy_checksum), fmt_hex(sample.csr_checksum),
-                   sample.identical() ? "yes" : "NO"});
+/// The paper-automata oracle for one fr / pr / newpr spec: the record
+/// the batched engine must reproduce, built on make_instance(spec) from
+/// the Section 3 automata (measure_cost under the spec's scheduler) and
+/// the maximal-set greedy rounds (run_greedy_rounds).  Fills work,
+/// edge_reversals, dummy_steps, rounds and converged.
+inline RunRecord automata_record(const RunSpec& spec) {
+  Strategy strategy = Strategy::kFullReversal;
+  switch (spec.algorithm) {
+    case AlgorithmKind::kFullReversal:
+      break;
+    case AlgorithmKind::kOneStepPR:
+      strategy = Strategy::kPartialReversal;
+      break;
+    case AlgorithmKind::kNewPR:
+      strategy = Strategy::kNewPR;
+      break;
+    default:
+      throw std::invalid_argument("automata_record: fr / pr / newpr specs only");
   }
-  return table;
+  const Instance instance = make_instance(spec);
+  const CostProfile profile = measure_cost(instance, strategy, spec.scheduler,
+                                           spec.scheduler_seed(), {.max_steps = spec.max_steps});
+  RunRecord record;
+  record.spec = spec;
+  record.work = profile.social_cost;
+  record.edge_reversals = profile.edge_reversals;
+  record.dummy_steps = profile.dummy_steps;
+  record.converged = profile.converged;
+  if (strategy != Strategy::kNewPR) {
+    const RoundStrategy rounds = strategy == Strategy::kFullReversal
+                                     ? RoundStrategy::kFullReversal
+                                     : RoundStrategy::kPartialReversal;
+    record.rounds = run_greedy_rounds(instance, rounds, spec.max_steps).total_rounds();
+  }
+  return record;
+}
+
+/// Runs every spec through execute_run and through automata_record and
+/// demands equal work, edge_reversals, dummy_steps, rounds and converged;
+/// prints the verdict (and each mismatching spec to stderr).
+inline bool records_match_automata(const std::vector<RunSpec>& specs) {
+  std::size_t mismatches = 0;
+  for (const RunSpec& spec : specs) {
+    const RunRecord engine = execute_run(spec);
+    const RunRecord oracle = automata_record(spec);
+    if (!engine.error.empty() || engine.work != oracle.work ||
+        engine.edge_reversals != oracle.edge_reversals ||
+        engine.dummy_steps != oracle.dummy_steps || engine.rounds != oracle.rounds ||
+        engine.converged != oracle.converged) {
+      ++mismatches;
+      std::fprintf(stderr, "engine/automata mismatch: %s %s %zu seed %llu %s\n",
+                   topology_token(spec.topology), algorithm_token(spec.algorithm), spec.size,
+                   static_cast<unsigned long long>(spec.seed), scheduler_token(spec.scheduler));
+    }
+  }
+  std::printf("engine vs paper automata over %zu stock scenarios: %s\n", specs.size(),
+              mismatches == 0 ? "identical records" : "MISMATCH");
+  return mismatches == 0;
 }
 
 }  // namespace lr::bench

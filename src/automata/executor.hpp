@@ -16,10 +16,10 @@
 /// assert it and benches can measure steps/reversals to get there.
 ///
 /// Two execution paths share this entry point: the templated
-/// automaton+scheduler drivers below (the paper-shaped legacy path, one
+/// automaton+scheduler drivers below (the paper-shaped reference, one
 /// action per scheduler call), and an overload that hands the whole run to
 /// the batched CSR engine (core/reversal_engine.hpp) — the production
-/// path the scenario runner and benches default to.
+/// path the scenario runner runs.
 
 namespace lr {
 

@@ -41,8 +41,9 @@
 /// automaton driven by the same scheduler from `automata/scheduler.hpp`,
 /// and therefore produces identical work counts, per-node costs, dummy
 /// counts, and final orientations.  `tests/reversal_engine_test.cpp` locks
-/// this in across algorithms × policies × topologies, which is what makes
-/// the scenario runner's legacy/CSR A/B mode byte-identical.
+/// this in across algorithms × policies × topologies, which is what lets
+/// the scenario runner run fr / pr / newpr on the engine alone with the
+/// automata as its oracle.
 
 namespace lr {
 
@@ -139,7 +140,7 @@ struct EngineRoundsOptions {
 
 /// FNV-1a checksum of an edge-sense vector — the canonical fingerprint of
 /// a final orientation (from which any height assignment is derived).
-/// Benches use it to make legacy/CSR A/B runs self-verifying.
+/// Benches use it to check the engine's final state against the automata's.
 std::uint64_t senses_checksum(std::span<const EdgeSense> senses);
 
 /// Order-statistic set of node ids in [0, n): the sink set behind the

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace lr {
@@ -26,7 +27,7 @@ struct SnapshotHeader {
   std::uint64_t destination;   ///< Instance::destination
   std::uint64_t name_bytes;    ///< unpadded length of Instance::name
   std::uint64_t payload_bytes; ///< total bytes after the header
-  std::uint64_t checksum;      ///< FNV-1a over the payload bytes
+  std::uint64_t checksum;      ///< FNV-1a over this header (checksum = 0) + payload
 };
 static_assert(sizeof(SnapshotHeader) == 64, "snapshot header layout drifted");
 
@@ -69,8 +70,47 @@ struct Extents {
   }
 };
 
-[[noreturn]] void reject(const std::string& path, const char* why) {
+[[noreturn]] void reject(const std::string& path, const std::string& why) {
   throw std::runtime_error("snapshot: " + path + ": " + why);
+}
+
+/// The checksum's seed: the header with its checksum field zeroed, so a
+/// tampered count, destination or label length fails the checksum too.
+Fnv1a header_sum(SnapshotHeader header) {
+  header.checksum = 0;
+  Fnv1a sum;
+  sum.mix(&header, sizeof(header));
+  return sum;
+}
+
+/// One sequential pass over the mapped arrays: every value a reader later
+/// uses as an index must land inside the array it indexes, so a
+/// checksum-clean but hostile file cannot steer a read or write out of
+/// bounds.  Returns the first violation, or nullptr.  Mirror symmetry
+/// needs random access and stays unchecked: an asymmetric mirror is wrong
+/// data, never an out-of-range index.
+const char* index_violation(const CsrGraph::BorrowedArrays& a) {
+  // load() bounds n < 2^32 and 2m < 2^32, so both fit the element types.
+  const auto n = static_cast<std::uint32_t>(a.num_nodes);
+  const auto m = static_cast<std::uint32_t>(a.senses.size());
+  const std::uint32_t positions = 2 * m;
+  if (a.offsets[0] != 0 || a.offsets[n] != positions) return "offsets do not span [0, 2m]";
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (a.offsets[u] > a.offsets[u + 1]) return "offsets decrease";
+    if (a.split[u] < a.offsets[u] || a.split[u] > a.offsets[u + 1]) {
+      return "split outside its adjacency block";
+    }
+  }
+  bool bad = false;
+  for (std::uint32_t p = 0; p < positions; ++p) {
+    bad |= (a.nbr[p] >= n) | (a.part_nbr[p] >= n) | (a.edge[p] >= m) |
+           (a.mirror[p] >= positions) | (a.part_pos[p] >= positions);
+  }
+  if (bad) return "node, edge or position index out of range";
+  for (const EdgeSense sense : a.senses) {
+    bad |= sense != EdgeSense::kForward && sense != EdgeSense::kBackward;
+  }
+  return bad ? "edge sense out of range" : nullptr;
 }
 
 /// Streams one padded section into `out` while folding it into `sum`.
@@ -110,7 +150,7 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
   header.payload_bytes = Extents(n, m, instance.name.size()).total();
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
 
-  Fnv1a sum;
+  Fnv1a sum = header_sum(header);
   write_section(out, sum, instance.name.data(), instance.name.size());
   write_section(out, sum, csr.raw_offsets().data(), (n + 1) * sizeof(CsrPos));
   write_section(out, sum, csr.raw_splits().data(), n * sizeof(CsrPos));
@@ -164,24 +204,30 @@ Snapshot Snapshot::load(const std::string& path, bool verify_checksum) {
   if (std::memcmp(header.magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     reject(path, "bad magic (not a snapshot file)");
   }
-  if (header.version != kSnapshotVersion) reject(path, "unsupported snapshot version");
+  if (header.version != kSnapshotVersion) {
+    reject(path, "unsupported snapshot version " + std::to_string(header.version) +
+                     " (expected " + std::to_string(kSnapshotVersion) + ")");
+  }
 
+  // Bound every count before any size arithmetic, so no extent can wrap:
+  // node ids and CSR positions are 32-bit, and the label lives in the file.
   const std::uint64_t n = header.num_nodes;
   const std::uint64_t m = header.num_edges;
-  if (2 * m >= kCsrPosLimit) reject(path, "edge count exceeds the 32-bit CSR position space");
+  if (n >= kCsrPosLimit) reject(path, "node count exceeds the 32-bit node id space");
+  if (m >= kCsrPosLimit / 2) reject(path, "edge count exceeds the 32-bit CSR position space");
+  if (header.name_bytes > file_bytes) reject(path, "label length exceeds the file");
+  if (header.destination >= n) reject(path, "destination is not a node of the graph");
   const Extents ext(n, m, header.name_bytes);
-  if (header.name_bytes > header.payload_bytes || header.payload_bytes != ext.total()) {
-    reject(path, "header extents are inconsistent");
-  }
+  if (header.payload_bytes != ext.total()) reject(path, "header extents are inconsistent");
   if (file_bytes != sizeof(SnapshotHeader) + header.payload_bytes) {
     reject(path, "file size disagrees with the header (truncated or trailing garbage)");
   }
 
   const char* payload = static_cast<const char*>(map) + sizeof(SnapshotHeader);
   if (verify_checksum) {
-    Fnv1a sum;
+    Fnv1a sum = header_sum(header);
     sum.mix(payload, header.payload_bytes);
-    if (sum.h != header.checksum) reject(path, "payload checksum mismatch (corrupt file)");
+    if (sum.h != header.checksum) reject(path, "checksum mismatch (corrupt file)");
   }
 
   // Bind the borrowed views.  Every section starts 8-byte aligned (the
@@ -208,13 +254,8 @@ Snapshot Snapshot::load(const std::string& path, bool verify_checksum) {
   p += ext.part_pos;
   arrays.senses = {reinterpret_cast<const EdgeSense*>(p), static_cast<std::size_t>(m)};
 
-  try {
-    snap.csr_ = CsrGraph::borrow(arrays);
-  } catch (const std::invalid_argument&) {
-    // borrow() re-derives size consistency; a checksum-clean file can
-    // still fail it if offsets.back() != 2m (contents lie about extents).
-    reject(path, "array contents are inconsistent with the header");
-  }
+  if (const char* why = index_violation(arrays)) reject(path, why);
+  snap.csr_ = CsrGraph::borrow(arrays);
   snap.destination_ = static_cast<NodeId>(header.destination);
   return snap;
 }
@@ -249,7 +290,8 @@ Instance Snapshot::thaw_instance() const {
     parts.adjacency[p] = Incidence{nbr[p], edge[p]};
   }
   // Endpoints by edge id: the canonical (min, max) pair appears exactly
-  // once as (u, nbr[p]) with u < nbr[p] while walking the blocks.
+  // once as (u, nbr[p]) with u < nbr[p] while walking the blocks.  load()
+  // range-checked every edge id, so the write stays in bounds.
   parts.endpoints.resize(m);
   for (NodeId u = 0; u < n; ++u) {
     for (CsrPos p = csr_.adjacency_begin(u); p < csr_.adjacency_end(u); ++p) {

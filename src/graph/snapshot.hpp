@@ -21,9 +21,13 @@
 /// sweep shards of runner/shard_coordinator.hpp).
 ///
 /// Integrity over portability: the header carries a magic, a version, the
-/// array extents, and an FNV-1a checksum over the payload, and `load`
-/// rejects any mismatch loudly (wrong magic, wrong version, truncation,
-/// extent/size disagreement, checksum failure).  The byte order is the
+/// array extents, and an FNV-1a checksum over the header and the payload,
+/// and `load` rejects any mismatch loudly (wrong magic, wrong version,
+/// counts past the 32-bit id space, a destination outside the graph,
+/// truncation, extent/size disagreement, checksum failure, and any index
+/// array value outside the array it indexes).  Every rejection is a
+/// std::runtime_error, so a hostile or damaged file can never get past
+/// `load` into an out-of-bounds access.  The byte order is the
 /// writing host's — a snapshot is a *cache artifact* regenerable from
 /// (topology, size, seed), not an interchange format, so cross-endian
 /// portability is explicitly out of scope (the version field guards
@@ -38,8 +42,9 @@
 
 namespace lr {
 
-/// Snapshot file format version; bumped on any layout change.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Snapshot file format version; bumped on any layout change.  Version 2
+/// folded the header fields into the checksum.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Writes `instance` + its frozen CSR form to `path` (atomically, via a
 /// same-directory temp file + rename).  Throws std::runtime_error on I/O
@@ -55,10 +60,13 @@ void save_snapshot(const std::string& path, const Instance& instance, const CsrG
 /// borrowed graph).
 class Snapshot {
  public:
-  /// Maps `path` read-only and validates it: magic, version, header/array
-  /// extent consistency against the file size, and (unless
-  /// `verify_checksum` is false — a bench knob for isolating checksum
-  /// cost, not a production switch) the FNV-1a payload checksum.  Throws
+  /// Maps `path` read-only and validates it: magic, version, bounded
+  /// counts, destination < n, header/array extent consistency against the
+  /// file size, (unless `verify_checksum` is false — a bench knob for
+  /// isolating checksum cost, not a production switch) the FNV-1a
+  /// header + payload checksum, and one sequential range pass over the
+  /// index arrays (offsets non-decreasing from 0 to 2m, each split inside
+  /// its block, neighbor ids < n, edge ids < m, positions < 2m).  Throws
   /// std::runtime_error naming the failure on any rejection.
   static Snapshot load(const std::string& path, bool verify_checksum = true);
 

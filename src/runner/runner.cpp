@@ -13,7 +13,6 @@
 #include <tuple>
 
 #include "analysis/bounds.hpp"
-#include "analysis/rounds.hpp"
 #include "analysis/stats.hpp"
 #include "automata/executor.hpp"
 #include "automata/scheduler.hpp"
@@ -77,19 +76,7 @@ void fill_instance_shape(RunRecord& record, const Instance& instance) {
   record.bad_nodes = count_bad_nodes(instance);
 }
 
-/// Engine-side names of the strategy and scheduler axes (the CSR path).
-EngineAlgorithm engine_algorithm(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kFullReversal:
-      return EngineAlgorithm::kFullReversal;
-    case Strategy::kPartialReversal:
-      return EngineAlgorithm::kOneStepPR;
-    case Strategy::kNewPR:
-      return EngineAlgorithm::kNewPR;
-  }
-  throw std::invalid_argument("unknown strategy");
-}
-
+/// Engine-side name of the scheduler axis.
 EnginePolicy engine_policy(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kLowestId:
@@ -105,68 +92,46 @@ EnginePolicy engine_policy(SchedulerKind kind) {
 }
 
 /// fr / pr / newpr: run to quiescence under the spec's scheduler, then
-/// attach the greedy-round time measure where the strategy has one.
-///
-/// Two back-ends fill identical records (the equivalence is locked in by
-/// tests/reversal_engine_test.cpp): the default CSR path batches the whole
-/// execution through core/reversal_engine.hpp — over the sweep cache's
-/// frozen snapshot when one is supplied — and the legacy path drives the
-/// paper-shaped automata through the analysis layer's measure_cost.  The
-/// bench_e2 A/B mode times one against the other.
+/// attach the greedy-round time measure where the strategy has one.  The
+/// whole execution is batched through core/reversal_engine.hpp — over the
+/// sweep cache's frozen snapshot when one is supplied.  The paper-shaped
+/// automata stay the oracle: tests/reversal_engine_test.cpp and the
+/// bench_e2/e3/e6 gates demand identical records from measure_cost and
+/// run_greedy_rounds.
 void run_strategy_kernel(RunRecord& record, const Instance& instance, const CsrGraph* frozen,
-                         Strategy strategy, WorkerPoolCache* pools) {
+                         EngineAlgorithm algorithm, WorkerPoolCache* pools) {
   const RunSpec& spec = record.spec;
-  if (spec.path == ExecutionPath::kCsr) {
-    const CsrGraph local =
-        frozen != nullptr ? CsrGraph() : CsrGraph(instance.graph, instance.senses);
-    const CsrGraph& csr = frozen != nullptr ? *frozen : local;
-    ReversalEngine engine(csr, instance.destination);
-    const EngineResult result =
-        engine.run(engine_algorithm(strategy), engine_policy(spec.scheduler),
-                   {.max_steps = spec.max_steps, .scheduler_seed = spec.scheduler_seed()});
-    record.work = result.steps;
-    record.edge_reversals = result.edge_reversals;
-    record.dummy_steps = result.dummy_steps;
-    record.converged = result.quiescent && result.destination_oriented;
-    if (strategy != Strategy::kNewPR) {
-      const EngineAlgorithm rounds_algorithm = strategy == Strategy::kFullReversal
-                                                   ? EngineAlgorithm::kFullReversal
-                                                   : EngineAlgorithm::kOneStepPR;
-      // engine_threads != 1 shards the rounds across a worker pool (0 =
-      // hardware concurrency).  The record is byte-identical either way;
-      // only the wall clock moves (docs/PERFORMANCE.md).  With a
-      // WorkerPoolCache the pool is borrowed (spawned once per sweep
-      // worker); without one a short-lived local pool is spawned, but only
-      // when the instance could plausibly clear the engine's work
-      // threshold — 2|E| caps the *total* degree any round's sinks can
-      // carry, so instances below it never shard (the cap is a heuristic:
-      // width x max-degree can exceed it on skewed graphs, which at worst
-      // keeps such a run serial, never changes its record).
-      EngineRoundsOptions rounds_options{.max_rounds = spec.max_steps};
-      std::optional<ThreadPool> local_pool;
-      if (spec.engine_threads != 1) {
-        if (pools != nullptr) {
-          rounds_options.pool = pools->get(spec.engine_threads);
-        } else if (2 * csr.num_edges() >= rounds_options.min_parallel_work) {
-          rounds_options.pool = &local_pool.emplace(spec.engine_threads);
-        }
-      }
-      record.rounds = engine.run_greedy_rounds(rounds_algorithm, rounds_options).rounds;
+  const CsrGraph local = frozen != nullptr ? CsrGraph() : CsrGraph(instance.graph, instance.senses);
+  const CsrGraph& csr = frozen != nullptr ? *frozen : local;
+  ReversalEngine engine(csr, instance.destination);
+  const EngineResult result =
+      engine.run(algorithm, engine_policy(spec.scheduler),
+                 {.max_steps = spec.max_steps, .scheduler_seed = spec.scheduler_seed()});
+  record.work = result.steps;
+  record.edge_reversals = result.edge_reversals;
+  record.dummy_steps = result.dummy_steps;
+  record.converged = result.quiescent && result.destination_oriented;
+  if (algorithm == EngineAlgorithm::kNewPR) return;  // no greedy-round measure
+  // engine_threads != 1 shards the rounds across a worker pool (0 =
+  // hardware concurrency).  The record is byte-identical either way; only
+  // the wall clock moves (docs/PERFORMANCE.md).  With a WorkerPoolCache
+  // the pool is borrowed (spawned once per sweep worker); without one a
+  // short-lived local pool is spawned, but only when the instance could
+  // plausibly clear the engine's work threshold — 2|E| caps the *total*
+  // degree any round's sinks can carry, so instances below it never shard
+  // (the cap is a heuristic: width x max-degree can exceed it on skewed
+  // graphs, which at worst keeps such a run serial, never changes its
+  // record).
+  EngineRoundsOptions rounds_options{.max_rounds = spec.max_steps};
+  std::optional<ThreadPool> local_pool;
+  if (spec.engine_threads != 1) {
+    if (pools != nullptr) {
+      rounds_options.pool = pools->get(spec.engine_threads);
+    } else if (2 * csr.num_edges() >= rounds_options.min_parallel_work) {
+      rounds_options.pool = &local_pool.emplace(spec.engine_threads);
     }
-    return;
   }
-  const CostProfile profile = measure_cost(instance, strategy, spec.scheduler,
-                                           spec.scheduler_seed(), {.max_steps = spec.max_steps});
-  record.work = profile.social_cost;
-  record.edge_reversals = profile.edge_reversals;
-  record.dummy_steps = profile.dummy_steps;
-  record.converged = profile.converged;
-  if (strategy != Strategy::kNewPR) {
-    const RoundStrategy round_strategy = strategy == Strategy::kFullReversal
-                                             ? RoundStrategy::kFullReversal
-                                             : RoundStrategy::kPartialReversal;
-    record.rounds = run_greedy_rounds(instance, round_strategy, spec.max_steps).total_rounds();
-  }
+  record.rounds = engine.run_greedy_rounds(algorithm, rounds_options).rounds;
 }
 
 /// hybrid: a per-node random FR/PR strategy profile (the E3.4 game),
@@ -235,8 +200,8 @@ void run_tora_kernel(RunRecord& record, const Instance& instance,
 }
 
 /// dist-fr / dist-pr: the message-passing protocol over the simulated
-/// asynchronous network, driven to convergence with resync rounds.  On the
-/// CSR path with a warm sweep cache, both the network and the protocol
+/// asynchronous network, driven to convergence with resync rounds.  With
+/// a warm sweep cache, both the network and the protocol
 /// borrow the cached frozen snapshot instead of freezing their own; the
 /// snapshot's contents are identical either way, so records are too.
 void run_dist_kernel(RunRecord& record, const Instance& instance, const CsrGraph* frozen,
@@ -505,10 +470,9 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
   record.spec = spec;
   record.run_seed = spec.instance_seed();
   try {
-    // Both paths draw the frozen workload from the sweep cache when one is
-    // given; without one the run regenerates it (the per-run cost model
-    // the A/B harness times).  Generation is deterministic in the axis
-    // values, so the two sources yield byte-identical instances.
+    // The frozen workload comes from the sweep cache when one is given;
+    // without one the run regenerates it.  Generation is deterministic in
+    // the axis values, so the two sources yield byte-identical instances.
     std::shared_ptr<const FrozenInstance> shared;
     Instance local;
     const Instance* instance = nullptr;
@@ -528,13 +492,13 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
     fill_instance_shape(record, *instance);
     switch (spec.algorithm) {
       case AlgorithmKind::kFullReversal:
-        run_strategy_kernel(record, *instance, frozen, Strategy::kFullReversal, pools);
+        run_strategy_kernel(record, *instance, frozen, EngineAlgorithm::kFullReversal, pools);
         break;
       case AlgorithmKind::kOneStepPR:
-        run_strategy_kernel(record, *instance, frozen, Strategy::kPartialReversal, pools);
+        run_strategy_kernel(record, *instance, frozen, EngineAlgorithm::kOneStepPR, pools);
         break;
       case AlgorithmKind::kNewPR:
-        run_strategy_kernel(record, *instance, frozen, Strategy::kNewPR, pools);
+        run_strategy_kernel(record, *instance, frozen, EngineAlgorithm::kNewPR, pools);
         break;
       case AlgorithmKind::kHybrid:
         run_hybrid_kernel(record, *instance);

@@ -88,8 +88,8 @@ struct FrozenInstance {
 /// design, so every kernel of a sweep measures the same instances; without
 /// a cache each run still *regenerates* its instance and re-freezes the
 /// CSR snapshot.  A ScenarioRunner gives each sweep a cache so that work
-/// happens once per (topology, size, seed) on the CSR path
-/// (docs/PERFORMANCE.md measures the effect).  Results are unaffected by
+/// happens once per (topology, size, seed) (docs/PERFORMANCE.md measures
+/// the effect).  Results are unaffected by
 /// construction — generation is deterministic in the key, so a hit returns
 /// byte-identical data to a rebuild, and an *evicted* entry is simply
 /// regenerated on its next use.
@@ -201,10 +201,8 @@ class WorkerPoolCache {
 /// cannot take down a sweep.  This is the shared single-run code path.
 RunRecord execute_run(const RunSpec& spec);
 
-/// Same, drawing the workload from `cache` on either execution path
-/// (`path` only picks the fr/pr/newpr back-end).  `cache` may be null:
-/// the run then regenerates its workload, the per-run cost model the
-/// bench A/B harness times.  Records are byte-identical with and
+/// Same, drawing the workload from `cache`.  `cache` may be null: the run
+/// then regenerates its workload.  Records are byte-identical with and
 /// without a cache.
 RunRecord execute_run(const RunSpec& spec, SweepCache* cache);
 
@@ -311,7 +309,7 @@ class ScenarioRunner {
 
   /// Executes an explicit run list (already expanded or hand-built);
   /// records are returned in input order.  The runs share one SweepCache,
-  /// so CSR-path kernels over the same (topology, size, seed) reuse one
+  /// so kernels over the same (topology, size, seed) reuse one
   /// frozen instance instead of regenerating it per kernel.
   std::vector<RunRecord> run_all(const std::vector<RunSpec>& specs) const;
 

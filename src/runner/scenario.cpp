@@ -151,16 +151,6 @@ const char* algorithm_token(AlgorithmKind kind) {
   return "?";
 }
 
-const char* path_token(ExecutionPath path) {
-  switch (path) {
-    case ExecutionPath::kCsr:
-      return "csr";
-    case ExecutionPath::kLegacy:
-      return "legacy";
-  }
-  return "?";
-}
-
 const char* scheduler_token(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kLowestId:
@@ -215,10 +205,6 @@ SchedulerKind parse_scheduler(const std::string& token) {
                       SchedulerKind::kRoundRobin, SchedulerKind::kFarthestFirst});
 }
 
-ExecutionPath parse_path(const std::string& token) {
-  return parse_token(token, "path", path_token, {ExecutionPath::kCsr, ExecutionPath::kLegacy});
-}
-
 std::size_t SweepSpec::run_count() const {
   // Saturates instead of wrapping, so no axis product can pose as a
   // small sweep (the shard session compares it to an untrusted claim).
@@ -248,7 +234,6 @@ std::vector<RunSpec> SweepSpec::expand() const {
             spec.scheduler = scheduler;
             spec.seed = seed;
             spec.max_steps = max_steps;
-            spec.path = path;
             spec.engine_threads = engine_threads;
             spec.sim_scheduler = sim_scheduler;
             spec.sim_threads = sim_threads;
@@ -378,10 +363,6 @@ SweepSpec SweepSpec::parse(std::istream& is) {
         const auto list = parse_integer_list(values);
         if (list.size() != 1) throw std::invalid_argument("max_steps takes a single value");
         spec.max_steps = list[0];
-      } else if (key == "path") {
-        const auto tokens = split_values(values);
-        if (tokens.size() != 1) throw std::invalid_argument("path takes a single value");
-        spec.path = parse_path(tokens[0]);
       } else if (key == "engine_threads") {
         const auto list = parse_integer_list(values);
         if (list.size() != 1) throw std::invalid_argument("engine_threads takes a single value");
@@ -462,7 +443,6 @@ std::string format_sweep_spec(const SweepSpec& spec) {
   list_line("scheduler", spec.schedulers, scheduler_token);
   list_line("seed", spec.seeds, integer);
   os << "max_steps = " << spec.max_steps << "\n";
-  os << "path = " << path_token(spec.path) << "\n";
   os << "engine_threads = " << spec.engine_threads << "\n";
   os << "sim_scheduler = " << event_scheduler_token(spec.sim_scheduler) << "\n";
   os << "sim_threads = " << spec.sim_threads << "\n";

@@ -63,31 +63,6 @@ enum class AlgorithmKind : std::uint8_t {
   kService,       ///< request-serving harness with latency SLOs (E9)
 };
 
-/// Which execution back-end a run uses.
-///
-/// The switch only matters to the fr/pr/newpr kernels: the CSR path
-/// batches the whole execution through core/reversal_engine.hpp while
-/// the legacy path drives the paper-shaped automata.  Every other kernel
-/// runs identically on both paths, and both draw their workload from the
-/// sweep's cached frozen Instance + CsrGraph snapshot (runner.hpp,
-/// SweepCache) whenever a cache is given.  Both back-ends execute the
-/// identical action sequence and fill identical records
-/// (tests/reversal_engine_test.cpp, tests/runner_test.cpp), so this is a
-/// performance switch, not a semantics switch: record and aggregate
-/// tables are byte-identical across paths by design, which is what makes
-/// the bench_e2 A/B comparison meaningful.
-enum class ExecutionPath : std::uint8_t {
-  kCsr,     ///< batched CSR kernels + cached frozen snapshots — default
-  kLegacy,  ///< paper-shaped automata for fr/pr/newpr
-};
-
-/// Spec-file token of an execution path ("csr", "legacy").
-const char* path_token(ExecutionPath path);
-
-/// Parses an execution-path token; throws std::invalid_argument when
-/// unknown.
-ExecutionPath parse_path(const std::string& token);
-
 /// One fully resolved scenario: a point of the sweep's cartesian product.
 struct RunSpec {
   TopologyKind topology = TopologyKind::kChain;  ///< topology family
@@ -96,10 +71,9 @@ struct RunSpec {
   SchedulerKind scheduler = SchedulerKind::kLowestId;   ///< demon resolving nondeterminism
   std::uint64_t seed = 1;      ///< master seed of this run's RNG streams
   std::uint64_t max_steps = 10'000'000;  ///< step/round safety budget
-  ExecutionPath path = ExecutionPath::kCsr;  ///< execution back-end (A/B switch)
 
   /// Worker threads of the reversal engine's sharded greedy-rounds kernel
-  /// (CSR path, fr/pr kernels only): 1 = serial (default), 0 = hardware
+  /// (fr/pr kernels only): 1 = serial (default), 0 = hardware
   /// concurrency, N = a pool of N.  Purely a performance switch — the
   /// parallel engine is deterministic and byte-identical to the serial one
   /// at every value (tests/reversal_engine_test.cpp), so records never
@@ -220,15 +194,10 @@ struct SweepSpec {
   std::vector<SchedulerKind> schedulers;    ///< `scheduler =` axis
   std::vector<std::uint64_t> seeds;         ///< `seed =` axis
   std::uint64_t max_steps = 10'000'000;     ///< per-run safety budget
-  /// `path =` scalar option (`csr` default, `legacy` for A/B comparison):
-  /// the execution back-end stamped on every expanded run.  A scalar, not
-  /// an axis: results are identical on both paths, so sweeping it would
-  /// only duplicate rows.
-  ExecutionPath path = ExecutionPath::kCsr;
   /// `engine_threads =` scalar option: the engine's greedy-rounds worker
   /// count stamped on every expanded run (see RunSpec::engine_threads).
-  /// Also a scalar, for the same reason as `path`: results are identical
-  /// at every thread count by construction.
+  /// A scalar, not an axis: results are identical at every thread count
+  /// by construction, so sweeping it would only duplicate rows.
   std::size_t engine_threads = 1;
   /// `sim_scheduler =` scalar option (`heap` default, `wheel` for the
   /// timing-wheel backend): the dist-fr / dist-pr network time index

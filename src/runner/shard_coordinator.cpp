@@ -22,8 +22,8 @@ using Clock = std::chrono::steady_clock;
 bool specs_equal(const RunSpec& a, const RunSpec& b) {
   return a.topology == b.topology && a.size == b.size && a.algorithm == b.algorithm &&
          a.scheduler == b.scheduler && a.seed == b.seed && a.max_steps == b.max_steps &&
-         a.path == b.path && a.engine_threads == b.engine_threads &&
-         a.sim_scheduler == b.sim_scheduler && a.sim_threads == b.sim_threads &&
+         a.engine_threads == b.engine_threads && a.sim_scheduler == b.sim_scheduler &&
+         a.sim_threads == b.sim_threads &&
          a.service_workload == b.service_workload && a.service_clients == b.service_clients &&
          a.service_duration == b.service_duration && a.churn_events == b.churn_events;
 }

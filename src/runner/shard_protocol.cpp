@@ -129,7 +129,6 @@ void encode_payload(std::vector<std::uint8_t>& out, const RecordFrame& frame) {
   put_u8(out, static_cast<std::uint8_t>(spec.scheduler));
   put_u64(out, spec.seed);
   put_u64(out, spec.max_steps);
-  put_u8(out, static_cast<std::uint8_t>(spec.path));
   put_u64(out, spec.engine_threads);
   put_u8(out, static_cast<std::uint8_t>(spec.sim_scheduler));
   put_u64(out, spec.sim_threads);
@@ -162,7 +161,6 @@ RecordFrame decode_record(Cursor& cursor) {
   spec.scheduler = checked_enum(cursor.u8(), SchedulerKind::kFarthestFirst, "scheduler");
   spec.seed = cursor.u64();
   spec.max_steps = cursor.u64();
-  spec.path = checked_enum(cursor.u8(), ExecutionPath::kLegacy, "path");
   spec.engine_threads = static_cast<std::size_t>(cursor.u64());
   spec.sim_scheduler = checked_enum(cursor.u8(), EventSchedulerKind::kWheel, "sim_scheduler");
   spec.sim_threads = static_cast<std::size_t>(cursor.u64());

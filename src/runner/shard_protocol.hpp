@@ -68,8 +68,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x4853524cu;
 /// same binary, so a mismatch means build or deployment skew across
 /// hosts — a situation to reject loudly, never to paper over).
 /// Version 3 added the heartbeat / shard-request / shard-error frames of
-/// the multi-host TCP dataplane.
-inline constexpr std::uint32_t kShardProtocolVersion = 3;
+/// the multi-host TCP dataplane.  Version 4 dropped the execution-path
+/// byte from the record frame.
+inline constexpr std::uint32_t kShardProtocolVersion = 4;
 
 /// Upper bound on a frame payload.  Records are a few hundred bytes;
 /// anything near this limit is garbage (e.g. random bytes read as a

@@ -12,10 +12,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 /// End-to-end integration tests for the lr_cli binary: generate an
 /// instance file, inspect it, run algorithms over it, and model-check it —
@@ -174,6 +177,49 @@ TEST_F(CliIntegrationTest, SweepWritesJsonAndRejectsBadSpec) {
   EXPECT_EQ(run_command("sweep " + spec_path + " --bogus 1").exit_code, 2);
   std::filesystem::remove(spec_path);
   std::filesystem::remove(json_path);
+}
+
+TEST_F(CliIntegrationTest, SweepRejectsThePathKeyByLine) {
+  const std::string spec_path = temp_file("cli_it_sweep_path.sweep");
+  for (const char* value : {"legacy", "csr"}) {
+    {
+      std::ofstream spec(spec_path);
+      spec << "topology = chain\nsize = 8\nalgorithm = pr\npath = " << value << "\n";
+    }
+    const auto result = run_command("sweep " + spec_path);
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    EXPECT_NE(result.output.find("line 4: unknown key 'path'"), std::string::npos)
+        << result.output;
+  }
+  std::filesystem::remove(spec_path);
+}
+
+TEST_F(CliIntegrationTest, SnapshotInfoRejectsDamagedFilesWithAReason) {
+  const std::string path = temp_file("cli_it_damaged.lrsnap");
+  ASSERT_EQ(run_command("snapshot save chain 8 1 " + path).exit_code, 0);
+  std::vector<char> pristine;
+  {
+    std::ifstream in(path, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(pristine.size(), 64u);
+  // Header: version u32 at 8, destination u64 at 32.  Both checks run
+  // before the checksum, so the files need no resealing.
+  const auto damaged = [&](std::size_t at, std::uint64_t value, std::size_t width) {
+    std::vector<char> bytes = pristine;
+    std::memcpy(bytes.data() + at, &value, width);
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return run_command("snapshot info " + path);
+  };
+  const auto far_destination = damaged(32, 1000000, 8);
+  EXPECT_EQ(far_destination.exit_code, 1) << far_destination.output;
+  EXPECT_NE(far_destination.output.find("destination"), std::string::npos)
+      << far_destination.output;
+  const auto version_one = damaged(8, 1, 4);
+  EXPECT_EQ(version_one.exit_code, 1) << version_one.output;
+  EXPECT_NE(version_one.output.find("version 1"), std::string::npos) << version_one.output;
+  std::filesystem::remove(path);
 }
 
 TEST_F(CliIntegrationTest, UsageOnBadArguments) {

@@ -364,7 +364,7 @@ TEST(MultiHostRunner, ServerRejectsSkewedRequestVersionLoudly) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
 
   ShardRequestFrame request;
-  request.version = 2;  // one protocol generation behind
+  request.version = kShardProtocolVersion - 1;  // one protocol generation behind
   request.begin = 0;
   request.end = 4;
   request.total = 4;
@@ -399,7 +399,7 @@ TEST(MultiHostRunner, ServerRejectsSkewedRequestVersionLoudly) {
 
 TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
   // A fake "old worker": accepts the connection and answers with a
-  // version-2 hello.  The coordinator must classify the skew by name.
+  // previous-version hello.  The coordinator must classify the skew by name.
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);
   const int reuse = 1;
@@ -424,7 +424,7 @@ TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
       if (fd < 0) continue;
       accepted.push_back(fd);
       HelloFrame hello;
-      hello.version = 2;
+      hello.version = kShardProtocolVersion - 1;
       hello.begin = 0;
       hello.end = 24;
       const std::vector<std::uint8_t> bytes = encode_frame(hello);
@@ -451,7 +451,8 @@ TEST(MultiHostRunner, CoordinatorRejectsSkewedHelloLoudly) {
     ::close(listen_fd);
     const std::string what = error.what();
     EXPECT_NE(what.find("protocol version mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("worker 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("worker " + std::to_string(kShardProtocolVersion - 1)), std::string::npos)
+        << what;
   }
 }
 

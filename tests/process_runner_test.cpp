@@ -141,7 +141,6 @@ TEST(FormatSweepSpec, RoundTripsThroughTheParser) {
     EXPECT_EQ(reparsed.sim_scheduler, sweep.sim_scheduler);
     EXPECT_EQ(reparsed.sim_threads, sweep.sim_threads);
     EXPECT_EQ(reparsed.engine_threads, sweep.engine_threads);
-    EXPECT_EQ(reparsed.path, sweep.path);
     EXPECT_EQ(reparsed.max_steps, sweep.max_steps);
   }
 }

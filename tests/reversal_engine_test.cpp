@@ -2,7 +2,8 @@
 // step-for-step equivalence with the legacy automaton + scheduler path
 // across all three algorithms and all four scheduling policies, greedy-
 // rounds equivalence, worklist sink detection on disconnected/degenerate
-// graphs, and record-level A/B equality through the scenario runner.
+// graphs, and record-level equality with the paper automata through the
+// scenario runner.
 
 #include "core/reversal_engine.hpp"
 
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <vector>
 
+#include "analysis/bounds.hpp"
 #include "analysis/game.hpp"
 #include "analysis/rounds.hpp"
 #include "automata/executor.hpp"
@@ -391,23 +393,64 @@ TEST(ReversalEngineTest, ChecksumDistinguishesOrientations) {
 }
 
 // ---------------------------------------------------------------------------
-// Record-level A/B equality through the scenario runner
+// Record-level equality with the paper automata through the runner
 // ---------------------------------------------------------------------------
 
-void expect_records_equal(const RunRecord& csr, const RunRecord& legacy,
-                          const std::string& context) {
-  EXPECT_EQ(csr.run_seed, legacy.run_seed) << context;
-  EXPECT_EQ(csr.nodes, legacy.nodes) << context;
-  EXPECT_EQ(csr.bad_nodes, legacy.bad_nodes) << context;
-  EXPECT_EQ(csr.work, legacy.work) << context;
-  EXPECT_EQ(csr.edge_reversals, legacy.edge_reversals) << context;
-  EXPECT_EQ(csr.rounds, legacy.rounds) << context;
-  EXPECT_EQ(csr.dummy_steps, legacy.dummy_steps) << context;
-  EXPECT_EQ(csr.converged, legacy.converged) << context;
-  EXPECT_EQ(csr.error, legacy.error) << context;
+/// The oracle record of one fr / pr / newpr spec, built from the paper
+/// automata on make_instance(spec): measure_cost under the spec's
+/// scheduler, plus run_greedy_rounds for fr and pr.
+RunRecord automata_record(const RunSpec& spec) {
+  const Strategy strategy = spec.algorithm == AlgorithmKind::kFullReversal ? Strategy::kFullReversal
+                            : spec.algorithm == AlgorithmKind::kOneStepPR
+                                ? Strategy::kPartialReversal
+                                : Strategy::kNewPR;
+  const Instance instance = make_instance(spec);
+  const CostProfile profile = measure_cost(instance, strategy, spec.scheduler,
+                                           spec.scheduler_seed(), {.max_steps = spec.max_steps});
+  RunRecord record;
+  record.spec = spec;
+  record.run_seed = spec.instance_seed();
+  record.nodes = instance.graph.num_nodes();
+  record.bad_nodes = count_bad_nodes(instance);
+  record.work = profile.social_cost;
+  record.edge_reversals = profile.edge_reversals;
+  record.dummy_steps = profile.dummy_steps;
+  record.converged = profile.converged;
+  if (strategy != Strategy::kNewPR) {
+    record.rounds = run_greedy_rounds(instance,
+                                      strategy == Strategy::kFullReversal
+                                          ? RoundStrategy::kFullReversal
+                                          : RoundStrategy::kPartialReversal,
+                                      spec.max_steps)
+                        .total_rounds();
+  }
+  return record;
 }
 
-TEST(ReversalEngineTest, ExecuteRunIsPathInvariant) {
+void expect_records_equal(const RunRecord& actual, const RunRecord& expected,
+                          const std::string& context) {
+  EXPECT_EQ(actual.run_seed, expected.run_seed) << context;
+  EXPECT_EQ(actual.nodes, expected.nodes) << context;
+  EXPECT_EQ(actual.bad_nodes, expected.bad_nodes) << context;
+  EXPECT_EQ(actual.work, expected.work) << context;
+  EXPECT_EQ(actual.edge_reversals, expected.edge_reversals) << context;
+  EXPECT_EQ(actual.rounds, expected.rounds) << context;
+  EXPECT_EQ(actual.dummy_steps, expected.dummy_steps) << context;
+  EXPECT_EQ(actual.converged, expected.converged) << context;
+  EXPECT_EQ(actual.error, expected.error) << context;
+}
+
+void expect_matches_automata(const RunRecord& engine, const std::string& context) {
+  expect_records_equal(engine, automata_record(engine.spec), context);
+}
+
+std::string run_context(const RunSpec& spec) {
+  return std::string(topology_token(spec.topology)) + "-" + std::to_string(spec.size) + "/" +
+         algorithm_token(spec.algorithm) + "/" + scheduler_token(spec.scheduler) + "/seed" +
+         std::to_string(spec.seed);
+}
+
+TEST(ReversalEngineTest, ExecuteRunMatchesPaperAutomata) {
   for (const TopologyKind topology : {TopologyKind::kChain, TopologyKind::kRandom,
                                       TopologyKind::kLayered, TopologyKind::kStar}) {
     for (const AlgorithmKind algorithm :
@@ -419,20 +462,15 @@ TEST(ReversalEngineTest, ExecuteRunIsPathInvariant) {
         spec.algorithm = algorithm;
         spec.scheduler = pair.scheduler;
         spec.seed = 3;
-        spec.path = ExecutionPath::kCsr;
-        const RunRecord csr = execute_run(spec);
-        spec.path = ExecutionPath::kLegacy;
-        const RunRecord legacy = execute_run(spec);
-        const std::string context = std::string(topology_token(topology)) + "/" +
-                                    algorithm_token(algorithm) + "/" +
-                                    scheduler_token(pair.scheduler);
-        expect_records_equal(csr, legacy, context);
+        expect_matches_automata(execute_run(spec), run_context(spec));
       }
     }
   }
 }
 
-TEST(ReversalEngineTest, SweepTablesAreBytewisePathInvariant) {
+TEST(ReversalEngineTest, SweepRecordsMatchPaperAutomata) {
+  // Through the ScenarioRunner the engine reads the sweep cache's frozen
+  // snapshot, so this covers the cached-snapshot route record by record.
   SweepSpec sweep;
   sweep.topologies = {TopologyKind::kChain, TopologyKind::kRandom};
   sweep.sizes = {8, 16};
@@ -440,19 +478,11 @@ TEST(ReversalEngineTest, SweepTablesAreBytewisePathInvariant) {
                       AlgorithmKind::kNewPR};
   sweep.schedulers = {SchedulerKind::kLowestId, SchedulerKind::kRandom};
   sweep.seeds = {1, 2};
-
-  const auto csv_of = [](const SweepSpec& spec) {
-    const SweepReport report = ScenarioRunner(RunnerOptions{.threads = 1}).run(spec);
-    std::ostringstream oss;
-    write_table_csv(oss, report.records_table());
-    write_table_csv(oss, report.aggregate_table());
-    return oss.str();
-  };
-  sweep.path = ExecutionPath::kCsr;
-  const std::string csr_csv = csv_of(sweep);
-  sweep.path = ExecutionPath::kLegacy;
-  const std::string legacy_csv = csv_of(sweep);
-  EXPECT_EQ(csr_csv, legacy_csv);
+  const SweepReport report = ScenarioRunner(RunnerOptions{.threads = 1}).run(sweep);
+  ASSERT_EQ(report.records.size(), 48u);
+  for (const RunRecord& record : report.records) {
+    expect_matches_automata(record, run_context(record.spec));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,17 +629,17 @@ TEST(ReversalEngineTest, SweepSpecParsesEngineThreadsOption) {
                std::invalid_argument);
 }
 
-TEST(ReversalEngineTest, SweepSpecParsesPathOption) {
-  const SweepSpec spec = SweepSpec::parse_string(
-      "topology = chain\nsize = 8\nalgorithm = pr\npath = legacy\n");
-  EXPECT_EQ(spec.path, ExecutionPath::kLegacy);
-  ASSERT_EQ(spec.expand().size(), 1u);
-  EXPECT_EQ(spec.expand()[0].path, ExecutionPath::kLegacy);
-  EXPECT_EQ(SweepSpec::parse_string("topology = chain\nsize = 8\nalgorithm = pr\n").path,
-            ExecutionPath::kCsr);
-  EXPECT_THROW(
-      SweepSpec::parse_string("topology = chain\nsize = 8\nalgorithm = pr\npath = turbo\n"),
-      std::invalid_argument);
+TEST(ReversalEngineTest, SweepSpecRejectsPathOption) {
+  for (const char* value : {"legacy", "csr"}) {
+    try {
+      SweepSpec::parse_string(std::string("topology = chain\nsize = 8\nalgorithm = pr\npath = ") +
+                              value + "\n");
+      ADD_FAILURE() << "path = " << value << " must be rejected";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 4: unknown key 'path'"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

@@ -129,8 +129,8 @@ TEST(SweepSpecTest, RunCountSaturatesInsteadOfWrapping) {
 bool same_run(const RunSpec& a, const RunSpec& b) {
   return a.topology == b.topology && a.size == b.size && a.algorithm == b.algorithm &&
          a.scheduler == b.scheduler && a.seed == b.seed && a.max_steps == b.max_steps &&
-         a.path == b.path && a.engine_threads == b.engine_threads &&
-         a.sim_scheduler == b.sim_scheduler && a.sim_threads == b.sim_threads &&
+         a.engine_threads == b.engine_threads && a.sim_scheduler == b.sim_scheduler &&
+         a.sim_threads == b.sim_threads &&
          a.service_workload == b.service_workload && a.service_clients == b.service_clients &&
          a.service_duration == b.service_duration && a.churn_events == b.churn_events;
 }
@@ -159,7 +159,6 @@ SweepSpec random_sweep_spec(std::mt19937_64& rng) {
     spec.seeds.push_back(integer());
   }
   spec.max_steps = integer();
-  spec.path = static_cast<ExecutionPath>(pick(2));
   spec.engine_threads = integer();
   spec.sim_scheduler = static_cast<EventSchedulerKind>(pick(2));
   spec.sim_threads = integer();
@@ -674,28 +673,6 @@ TEST(SweepCacheTest, CachedAndUncachedRecordsAgreeForEveryKernel) {
     EXPECT_EQ(cached.converged, uncached.converged) << context;
     EXPECT_EQ(cached.error, uncached.error) << context;
   }
-}
-
-TEST(ScenarioRunnerTest, ToraAndDistTablesAreBytewisePathInvariant) {
-  SweepSpec sweep;
-  sweep.topologies = {TopologyKind::kChain, TopologyKind::kRandom};
-  sweep.sizes = {8, 12};
-  sweep.algorithms = {AlgorithmKind::kTora, AlgorithmKind::kDistFR, AlgorithmKind::kDistPR};
-  sweep.schedulers = {SchedulerKind::kLowestId};
-  sweep.seeds = {1, 2};
-
-  const auto csv_of = [](const SweepSpec& spec) {
-    const SweepReport report = ScenarioRunner(RunnerOptions{.threads = 2}).run(spec);
-    std::ostringstream oss;
-    write_table_csv(oss, report.records_table());
-    write_table_csv(oss, report.aggregate_table());
-    return oss.str();
-  };
-  SweepSpec csr = sweep;
-  csr.path = ExecutionPath::kCsr;
-  SweepSpec legacy = sweep;
-  legacy.path = ExecutionPath::kLegacy;
-  EXPECT_EQ(csv_of(csr), csv_of(legacy));
 }
 
 TEST(ScenarioRunnerTest, DistTablesAreBytewiseEventCoreInvariant) {

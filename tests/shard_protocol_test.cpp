@@ -22,7 +22,6 @@ RunRecord sample_record() {
   record.spec.scheduler = SchedulerKind::kRandom;
   record.spec.seed = 0xfeedfacecafebeefULL;
   record.spec.max_steps = 123456789;
-  record.spec.path = ExecutionPath::kLegacy;
   record.spec.engine_threads = 4;
   record.spec.sim_scheduler = EventSchedulerKind::kWheel;
   record.spec.sim_threads = 8;
@@ -48,7 +47,6 @@ void expect_records_equal(const RunRecord& a, const RunRecord& b) {
   EXPECT_EQ(a.spec.scheduler, b.spec.scheduler);
   EXPECT_EQ(a.spec.seed, b.spec.seed);
   EXPECT_EQ(a.spec.max_steps, b.spec.max_steps);
-  EXPECT_EQ(a.spec.path, b.spec.path);
   EXPECT_EQ(a.spec.engine_threads, b.spec.engine_threads);
   EXPECT_EQ(a.spec.sim_scheduler, b.spec.sim_scheduler);
   EXPECT_EQ(a.spec.sim_threads, b.spec.sim_threads);

@@ -183,7 +183,8 @@ TEST(ShardSession, FuzzTruncatedRequestFramesAreRefused) {
 }
 
 TEST(ShardSession, VersionSkewedRequestsAreRefusedByName) {
-  for (const std::uint32_t version : {0u, 1u, 2u, 4u, 0xffffffffu}) {
+  for (const std::uint32_t version :
+       {0u, 1u, kShardProtocolVersion - 1, kShardProtocolVersion + 1, 0xffffffffu}) {
     ShardRequestFrame request = valid_request();
     request.version = version;
     const Outcome outcome = feed_session(encode_frame(request), false);

@@ -2,7 +2,11 @@
 // save -> load round-trip byte-identity of every CSR array, instance
 // thawing, borrowed-snapshot lifetime rules, and loud rejection of
 // corrupted files (bad magic, bad version, truncation, extent
-// disagreement, payload bit flips) in the style of shard_protocol_test.
+// disagreement, payload bit flips) in the style of shard_protocol_test,
+// plus a seed-loop fuzz of the loader (SnapshotFuzz): every mutated file
+// must either throw std::runtime_error or load, thaw and fingerprint
+// cleanly, and a sweep over crafted files must regenerate instead of
+// crashing.
 
 #include "graph/snapshot.hpp"
 
@@ -13,15 +17,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "runner/runner.hpp"
+#include "trace/report.hpp"
 
 namespace lr {
 namespace {
@@ -264,6 +273,237 @@ TEST_F(SnapshotCorruption, TrailingGarbageRejected) {
 
 TEST_F(SnapshotCorruption, MissingFileRejected) {
   EXPECT_THROW(Snapshot::load(dir_.file("does-not-exist.lrsnap")), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// SnapshotFuzz — hostile files that pass (or are resealed past) the
+// checksum.  Header field offsets: version 8, num_nodes 16, num_edges 24,
+// destination 32, name_bytes 40, payload_bytes 48, checksum 56.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kHeaderBytes = 64;
+constexpr std::size_t kNodesAt = 16;
+constexpr std::size_t kEdgesAt = 24;
+constexpr std::size_t kDestinationAt = 32;
+constexpr std::size_t kChecksumAt = 56;
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+/// Recomputes the stored checksum the way the writer does — FNV-1a over
+/// the header with its checksum field zeroed, then the payload — so a
+/// mutation reaches the checks behind the checksum.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  if (bytes.size() < kHeaderBytes) return;
+  put_u64(bytes, kChecksumAt, 0);
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  }
+  put_u64(bytes, kChecksumAt, hash);
+}
+
+constexpr std::uint64_t pad8(std::uint64_t bytes) { return (bytes + 7) & ~std::uint64_t{7}; }
+
+/// File offset of the edge[] section of a well-formed snapshot.
+std::size_t edge_section_at(const std::vector<std::uint8_t>& bytes) {
+  const std::uint64_t n = get_u64(bytes, kNodesAt);
+  const std::uint64_t m = get_u64(bytes, kEdgesAt);
+  return kHeaderBytes + pad8(get_u64(bytes, 40)) + pad8((n + 1) * 4) + pad8(n * 4) +
+         pad8(2 * m * 4);
+}
+
+/// A 72-byte file claiming n = 2^62 nodes and no edges: (n + 1) * 4 and
+/// n * 4 wrap to 4 and 0, so naive extents agree with an 8-byte payload.
+std::vector<std::uint8_t> wrapping_node_count_file() {
+  std::vector<std::uint8_t> bytes(kHeaderBytes + 8, 0);
+  std::memcpy(bytes.data(), "LRSNAP\n", 8);
+  const std::uint32_t version = kSnapshotVersion;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  put_u64(bytes, kNodesAt, std::uint64_t{1} << 62);
+  put_u64(bytes, 48, 8);  // payload_bytes
+  reseal(bytes);
+  return bytes;
+}
+
+/// The loader's whole contract: throw std::runtime_error, or hand out a
+/// snapshot that thaws and fingerprints without touching memory outside
+/// the mapping.  Returns whether the file was accepted.
+bool load_thaw_fingerprint(const std::string& path, const std::string& context) {
+  try {
+    const Snapshot snap = Snapshot::load(path);
+    const Instance thawed = snap.thaw_instance();
+    EXPECT_EQ(thawed.graph.num_nodes(), snap.num_nodes()) << context;
+    EXPECT_LT(thawed.destination, thawed.graph.num_nodes()) << context;
+    static_cast<void>(snap.csr().fingerprint());
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << context << ": wrong exception type: " << error.what();
+    return false;
+  }
+}
+
+TEST(SnapshotFuzz, MutatedFilesThrowOrLoadCleanly) {
+  const TempDir dir;
+  std::vector<std::vector<std::uint8_t>> bases;
+  {
+    std::mt19937_64 rng(11);
+    for (Instance instance : {sample_instance(), make_worst_case_chain(9),
+                              make_random_instance(24, 40, rng)}) {
+      const std::string path = dir.file("base.lrsnap");
+      save_snapshot(path, instance, CsrGraph(instance.graph, instance.senses));
+      bases.push_back(read_file(path));
+    }
+  }
+  const std::uint64_t kInteresting[] = {0,
+                                        1,
+                                        7,
+                                        1000000,
+                                        0x7fffffffu,
+                                        0xffffffffu,
+                                        std::uint64_t{1} << 31,
+                                        std::uint64_t{1} << 32,
+                                        std::uint64_t{1} << 62,
+                                        std::uint64_t{1} << 63,
+                                        ~std::uint64_t{0}};
+  const std::string path = dir.file("fuzzed.lrsnap");
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 1500; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint8_t> bytes = bases[seed % bases.size()];
+    const auto pick = [&rng](std::size_t count) {
+      return static_cast<std::size_t>(rng() % count);
+    };
+    const auto interesting = [&]() -> std::uint64_t {
+      return rng() % 2 == 0 ? kInteresting[pick(std::size(kInteresting))] : rng() >> pick(64);
+    };
+    bool seal = rng() % 2 == 0;
+    switch (seed % 4) {
+      case 0: {  // one header field (version, counts, destination, extents)
+        const std::size_t at = 8 * (1 + pick(6));
+        if (at == 8) {
+          const auto version = static_cast<std::uint32_t>(interesting());
+          std::memcpy(bytes.data() + 8, &version, sizeof(version));
+        } else {
+          put_u64(bytes, at, rng() % 2 == 0 ? interesting() : get_u64(bytes, at) + pick(5) - 2);
+        }
+        break;
+      }
+      case 1:  // truncate anywhere, header included
+        bytes.resize(pick(bytes.size()));
+        break;
+      case 2:  // extend with garbage, optionally claiming it as payload
+        for (std::size_t i = 1 + pick(64); i > 0; --i) bytes.push_back(static_cast<std::uint8_t>(rng()));
+        if (rng() % 2 == 0) put_u64(bytes, 48, bytes.size() - kHeaderBytes);
+        break;
+      default:  // flip 4-byte payload words
+        for (std::size_t i = 1 + pick(4); i > 0; --i) {
+          const std::size_t words = (bytes.size() - kHeaderBytes) / 4;
+          const std::size_t at = kHeaderBytes + 4 * pick(words);
+          const auto value = static_cast<std::uint32_t>(
+              rng() % 2 == 0 ? interesting() : static_cast<std::uint32_t>(rng()) % 256);
+          std::memcpy(bytes.data() + at, &value, sizeof(value));
+        }
+        seal = rng() % 4 != 0;  // mostly past the checksum, into the range checks
+        break;
+    }
+    if (seal) reseal(bytes);
+    write_file(path, bytes);
+    (load_thaw_fingerprint(path, "seed " + std::to_string(seed)) ? accepted : rejected) += 1;
+  }
+  // Both outcomes must actually occur, or the loop is not probing the
+  // boundary between them.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SnapshotFuzz, CraftedFilesAreRejectedWithAReason) {
+  const TempDir dir;
+  const Instance chain = make_worst_case_chain(9);
+  const std::string valid = dir.file("valid.lrsnap");
+  save_snapshot(valid, chain, CsrGraph(chain.graph, chain.senses));
+  const std::vector<std::uint8_t> pristine = read_file(valid);
+
+  std::vector<std::uint8_t> far_destination = pristine;
+  put_u64(far_destination, kDestinationAt, 1000000);
+  reseal(far_destination);
+  std::vector<std::uint8_t> wild_edge = pristine;
+  const std::uint32_t wild = 0x7fffffffu;
+  std::memcpy(wild_edge.data() + edge_section_at(wild_edge), &wild, sizeof(wild));
+  reseal(wild_edge);
+  std::vector<std::uint8_t> version_one = pristine;
+  const std::uint32_t one = 1;
+  std::memcpy(version_one.data() + 8, &one, sizeof(one));
+
+  const std::pair<std::vector<std::uint8_t>, const char*> cases[] = {
+      {wrapping_node_count_file(), "node count"},
+      {far_destination, "destination"},
+      {wild_edge, "out of range"},
+      {version_one, "version 1"},
+  };
+  for (const auto& [bytes, reason] : cases) {
+    const std::string path = dir.file("crafted.lrsnap");
+    write_file(path, bytes);
+    try {
+      Snapshot::load(path);
+      ADD_FAILURE() << "accepted a crafted file (" << reason << ")";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(reason), std::string::npos) << error.what();
+    }
+  }
+}
+
+TEST(SnapshotFuzz, SweepRegeneratesOverCraftedFiles) {
+  const TempDir dir;
+  const SweepSpec spec = SweepSpec::parse_string(
+      "topology = chain\nsize = 8\nalgorithm = fr, pr, newpr\nseed = 1..3\n");
+  const auto records_csv = [](const SweepReport& report) {
+    std::ostringstream oss;
+    write_table_csv(oss, report.records_table());
+    return oss.str();
+  };
+  const std::string cold = records_csv(ScenarioRunner({.threads = 1}).run(spec));
+  const SweepReport warmup = ScenarioRunner({.threads = 1, .snapshot_dir = dir.path}).run(spec);
+  ASSERT_EQ(warmup.cache.snapshot_saves, 3u);
+
+  // One crafted file per seed, each past the checksum.
+  const auto file = [&dir](int seed) {
+    return dir.file("chain-8-s" + std::to_string(seed) + ".lrsnap");
+  };
+  write_file(file(1), wrapping_node_count_file());
+  std::vector<std::uint8_t> bytes = read_file(file(2));
+  put_u64(bytes, kDestinationAt, 1000000);
+  reseal(bytes);
+  write_file(file(2), bytes);
+  bytes = read_file(file(3));
+  const std::uint32_t wild = 0x7fffffffu;
+  std::memcpy(bytes.data() + edge_section_at(bytes), &wild, sizeof(wild));
+  reseal(bytes);
+  write_file(file(3), bytes);
+
+  const SweepReport fallback = ScenarioRunner({.threads = 1, .snapshot_dir = dir.path}).run(spec);
+  EXPECT_EQ(records_csv(fallback), cold);
+  EXPECT_EQ(fallback.cache.snapshot_loads, 0u);
+  EXPECT_EQ(fallback.cache.snapshot_saves, 3u);
+  // The files were rewritten: each reloads to the generated workload.
+  for (const RunSpec& run : spec.expand()) {
+    if (run.algorithm != AlgorithmKind::kFullReversal) continue;
+    const Instance generated = make_instance(run);
+    EXPECT_EQ(Snapshot::load(file(static_cast<int>(run.seed))).csr().fingerprint(),
+              CsrGraph(generated.graph, generated.senses).fingerprint())
+        << "seed " << run.seed;
+  }
 }
 
 }  // namespace
