@@ -52,7 +52,7 @@
 ///       sweep; `-` logs to stderr.  Requires --processes or --hosts.
 ///
 ///   lr_cli shard-server --listen <port> [--bind <address>]
-///       The worker daemon of `sweep --hosts`: serves shard-protocol v3
+///       The worker daemon of `sweep --hosts`: serves shard-protocol v4
 ///       connections (one shard per connection) until SIGINT/SIGTERM.
 ///       Prints "shard-server listening on <address>:<port>" when ready.
 ///
@@ -148,11 +148,23 @@ int usage() {
   return 2;
 }
 
+/// Strict integer argument (parse_u64): false on a sign, a suffix,
+/// overflow or anything but digits, so the caller prints usage (exit 2).
+bool parse_arg(const std::string& text, std::uint64_t& out) {
+  try {
+    out = parse_u64(text);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
 int cmd_gen(int argc, char** argv) {
   if (argc != 6) return usage();
   const std::string family = argv[2];
-  const std::size_t n = std::strtoull(argv[3], nullptr, 10);
-  const std::uint64_t seed = std::strtoull(argv[4], nullptr, 10);
+  std::uint64_t n = 0;
+  std::uint64_t seed = 0;
+  if (!parse_arg(argv[3], n) || !parse_arg(argv[4], seed)) return usage();
   std::mt19937_64 rng(seed);
   Instance inst;
   if (family == "chain") {
@@ -216,10 +228,11 @@ int run_algorithm(const Instance& inst, const std::string& scheduler_name, std::
 
 int cmd_run(int argc, char** argv) {
   if (argc != 5 && argc != 6) return usage();
+  std::uint64_t seed = 1;
+  if (argc == 6 && !parse_arg(argv[5], seed)) return usage();
   const Instance inst = load_instance(argv[2]);
   const std::string algo = argv[3];
   const std::string sched = argv[4];
-  const std::uint64_t seed = argc == 6 ? std::strtoull(argv[5], nullptr, 10) : 1;
   if (algo == "pr") return run_algorithm<OneStepPRAutomaton>(inst, sched, seed);
   if (algo == "newpr") return run_algorithm<NewPRAutomaton>(inst, sched, seed);
   if (algo == "fr") return run_algorithm<FullReversalAutomaton>(inst, sched, seed);
@@ -311,11 +324,9 @@ int cmd_sweep(int argc, char** argv) {
       shard_log_path = value;
     } else if (flag == "--threads" || flag == "--cache-cap" || flag == "--processes" ||
         flag == "--retries") {
-      char* end = nullptr;
-      const std::size_t parsed = std::strtoull(value.c_str(), &end, 10);
-      // Reject non-numeric or negative input instead of silently wrapping
-      // ("-1" would otherwise become a 2^64-sized thread pool).
-      if (value.empty() || *end != '\0' || value[0] == '-') return usage();
+      // Strict: "-1" would otherwise wrap into a 2^64-sized thread pool.
+      std::uint64_t parsed = 0;
+      if (!parse_arg(value, parsed)) return usage();
       if (flag == "--threads") {
         options.threads = parsed;
         threads_given = true;
@@ -386,8 +397,9 @@ int cmd_sweep(int argc, char** argv) {
     shard_diagnostics = runner.shard_diagnostics();
     std::size_t retries = 0;
     for (const ShardDiagnostics& diag : shard_diagnostics) {
-      retries += diag.failures.size();
-      for (const std::string& failure : diag.failures) {
+      const std::vector<std::string> failures = diag.failure_lines();
+      retries += failures.size();
+      for (const std::string& failure : failures) {
         std::fprintf(stderr, "shard %zu retry: %s\n", diag.shard, failure.c_str());
       }
     }
@@ -470,10 +482,8 @@ int cmd_snapshot(int argc, char** argv) {
       return usage();
     }
     for (const int arg : {4, 5}) {
-      char* end = nullptr;
-      const std::string value = argv[arg];
-      const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || value[0] == '-') return usage();
+      std::uint64_t parsed = 0;
+      if (!parse_arg(argv[arg], parsed)) return usage();
       if (arg == 4) {
         if (parsed == 0) return usage();
         spec.size = static_cast<std::size_t>(parsed);
@@ -521,12 +531,9 @@ int cmd_serve(int argc, char** argv) {
   std::string json_path;
   std::uint64_t seed = 1;
   {
-    char* end = nullptr;
-    const std::string value = argv[3];
-    instance_spec.size = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || value[0] == '-' || instance_spec.size == 0) {
-      return usage();
-    }
+    std::uint64_t size = 0;
+    if (!parse_arg(argv[3], size) || size == 0) return usage();
+    instance_spec.size = static_cast<std::size_t>(size);
   }
   for (int i = 4; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -542,11 +549,8 @@ int cmd_serve(int argc, char** argv) {
       json_path = value;
     } else if (flag == "--clients" || flag == "--duration" || flag == "--seed" ||
                flag == "--churn") {
-      char* end = nullptr;
-      const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-      // Same rejection rule as sweep: non-numeric or negative input fails
-      // loudly instead of wrapping.
-      if (value.empty() || *end != '\0' || value[0] == '-') return usage();
+      std::uint64_t parsed = 0;
+      if (!parse_arg(value, parsed)) return usage();
       if (flag == "--clients") {
         if (parsed == 0) return usage();
         options.clients = static_cast<std::size_t>(parsed);

@@ -5,10 +5,10 @@
 #include <cstdint>
 
 /// \file retry_policy.hpp
-/// The retry/backoff policy of the shard dataplane
-/// (runner/shard_coordinator.hpp): how many
-/// attempts a failing shard gets, and how long the coordinator waits
-/// before each re-dispatch.
+/// The retry backoff of the shard dataplane
+/// (runner/shard_coordinator.hpp): how long the runner waits before
+/// each re-dispatch of a failed shard.  How many attempts a shard gets
+/// is RunnerOptions::worker_retries.
 ///
 /// The delay schedule is capped exponential backoff with *deterministic*
 /// seeded jitter: `delay(attempt)` is a pure function of (policy, shard,
@@ -20,12 +20,10 @@
 namespace lr {
 
 /// Capped exponential backoff with deterministic per-(shard, attempt)
-/// jitter.  `max_attempts` counts total tries (first + retries); the
-/// delay before attempt k (k >= 1, zero-based) is
+/// jitter: the delay before attempt k (k >= 1, zero-based) is
 /// `min(initial << (k-1), cap)` scaled by a jitter factor in
 /// [1 - jitter, 1] drawn from SplitMix64(seed ^ shard ^ k).
 struct RetryPolicy {
-  std::size_t max_attempts = 3;   ///< total tries per shard (first + retries)
   std::uint32_t initial_ms = 25;  ///< backoff before the first retry
   std::uint32_t cap_ms = 2'000;   ///< backoff ceiling
   double jitter = 0.5;            ///< jitter band width, in [0, 1]

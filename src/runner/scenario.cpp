@@ -250,6 +250,20 @@ std::vector<RunSpec> SweepSpec::expand() const {
   return runs;
 }
 
+std::uint64_t parse_u64(const std::string& token) {
+  if (token.empty() || !std::all_of(token.begin(), token.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c));
+      })) {
+    throw std::invalid_argument("expected a non-negative integer, got '" + token + "'");
+  }
+  std::uint64_t value = 0;
+  const auto [end, error] = std::from_chars(token.data(), token.data() + token.size(), value);
+  if (error != std::errc{} || end != token.data() + token.size()) {
+    throw std::invalid_argument("integer out of range: '" + token + "'");
+  }
+  return value;
+}
+
 namespace {
 
 std::string trim(const std::string& s) {
@@ -269,20 +283,6 @@ std::vector<std::string> split_values(const std::string& list) {
     values.push_back(value);
   }
   return values;
-}
-
-std::uint64_t parse_u64(const std::string& token) {
-  if (token.empty() || !std::all_of(token.begin(), token.end(), [](char c) {
-        return std::isdigit(static_cast<unsigned char>(c));
-      })) {
-    throw std::invalid_argument("expected a non-negative integer, got '" + token + "'");
-  }
-  std::uint64_t value = 0;
-  const auto [end, error] = std::from_chars(token.data(), token.data() + token.size(), value);
-  if (error != std::errc{} || end != token.data() + token.size()) {
-    throw std::invalid_argument("integer out of range: '" + token + "'");
-  }
-  return value;
 }
 
 /// Parses an integer list with `lo..hi` inclusive range sugar.  A range

@@ -127,6 +127,10 @@ struct RunSpec {
 
   /// Seed of the network RNG stream (message delays, drops, churn).
   std::uint64_t network_seed() const;
+
+  /// Specs compare field-wise: the text round-trip to a shard worker
+  /// must reproduce every field (the merge cross-checks each record).
+  friend bool operator==(const RunSpec&, const RunSpec&) = default;
 };
 
 /// SplitMix64 — the seed-derivation hash behind the per-run RNG streams.
@@ -161,6 +165,12 @@ const char* algorithm_token(AlgorithmKind kind);
 /// Spec-file token of a scheduler ("lowest", "random", "rr", "farthest"),
 /// matching the `lr_cli run` vocabulary.
 const char* scheduler_token(SchedulerKind kind);
+
+/// Strict non-negative integer: decimal digits only (no sign, space or
+/// suffix) and at most 2^64 - 1.  Throws std::invalid_argument naming
+/// `token` otherwise.  The one integer parser of the spec language, the
+/// CLI and the shard stack.
+std::uint64_t parse_u64(const std::string& token);
 
 /// Parses a topology token; throws std::invalid_argument when unknown.
 TopologyKind parse_topology(const std::string& token);

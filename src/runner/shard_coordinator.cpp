@@ -5,10 +5,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "runner/shard_protocol.hpp"
+#include "runner/retry_policy.hpp"
 
 namespace lr {
 
@@ -16,28 +17,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The spec axes and scalars must survive the text round-trip to the
-/// worker exactly; every record frame is cross-checked against the
-/// coordinator's own expansion through this.
-bool specs_equal(const RunSpec& a, const RunSpec& b) {
-  return a.topology == b.topology && a.size == b.size && a.algorithm == b.algorithm &&
-         a.scheduler == b.scheduler && a.seed == b.seed && a.max_steps == b.max_steps &&
-         a.engine_threads == b.engine_threads && a.sim_scheduler == b.sim_scheduler &&
-         a.sim_threads == b.sim_threads &&
-         a.service_workload == b.service_workload && a.service_clients == b.service_clients &&
-         a.service_duration == b.service_duration && a.churn_events == b.churn_events;
-}
+/// Budget for establishing one attempt: fork or connect, then shipping
+/// the request.
+constexpr auto kStartTimeout = std::chrono::milliseconds(5'000);
+
+/// Consecutive failed attempts after which an endpoint is declared dead.
+constexpr std::size_t kEndpointFailureThreshold = 2;
 
 constexpr std::size_t kNoEndpoint = static_cast<std::size_t>(-1);
 
-/// One endpoint the coordinator can dispatch to, with its liveness score.
+/// One endpoint the runner can dispatch to, with its liveness score.
 struct Endpoint {
   std::shared_ptr<ShardTransport> transport;
   std::size_t consecutive_failures = 0;
   bool dead = false;
 };
 
-/// One live shard attempt, as the coordinator tracks it.
+/// One live shard attempt, as the runner tracks it.
 struct LiveAttempt {
   std::size_t shard = 0;
   std::size_t endpoint = kNoEndpoint;
@@ -49,7 +45,6 @@ struct LiveAttempt {
   Clock::time_point started;
   Clock::time_point deadline;  ///< inactivity watchdog expiry
   long long backoff_ms = 0;    ///< delay the retry policy imposed before dispatch
-  SweepCacheStats cache;       ///< from the shard-done frame
 };
 
 /// A shard awaiting (re)dispatch.
@@ -66,26 +61,52 @@ long long elapsed_ms_since(Clock::time_point start) {
 
 }  // namespace
 
-ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
-                                   std::vector<std::shared_ptr<ShardTransport>> transports)
-    : options_(std::move(options)), transports_(std::move(transports)) {
-  if (transports_.empty()) {
-    throw std::invalid_argument("ShardCoordinator: at least one transport is required");
+ShardRunner::ShardRunner(RunnerOptions options, std::vector<HostSpec> hosts,
+                         std::string worker_command)
+    : options_(std::move(options)),
+      label_(hosts.empty() ? "multi-process sweep" : "multi-host sweep"),
+      timeout_ms_(options_.worker_timeout_ms) {
+  for (const HostSpec& host : hosts) {
+    transports_.push_back(
+        std::make_shared<TcpShardTransport>(host.host, host.port, host.workers));
   }
-  for (const auto& transport : transports_) {
-    if (transport == nullptr) {
-      throw std::invalid_argument("ShardCoordinator: null transport");
+  if (options_.process_workers > 0) {
+    // Remote hosts do not share this filesystem, so only the local
+    // children get the snapshot dir (the CLI rejects --hosts with it).
+    transports_.push_back(std::make_shared<ProcessShardTransport>(
+        options_.process_workers, options_.snapshot_dir, std::move(worker_command)));
+  }
+  if (transports_.empty()) {
+    throw std::invalid_argument("ShardRunner: no endpoint (no hosts and process_workers = 0)");
+  }
+  if (const char* env = std::getenv("LR_TEST_WORKER_TIMEOUT_MS"); env != nullptr && *env != '\0') {
+    std::uint64_t parsed = 0;
+    try {
+      parsed = parse_u64(env);
+    } catch (const std::invalid_argument&) {
+      // stays 0: rejected below
+    }
+    if (parsed == 0 || parsed > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      throw std::invalid_argument(std::string("bad LR_TEST_WORKER_TIMEOUT_MS '") + env +
+                                  "' (want a millisecond count in 1..2^31-1)");
+    }
+    timeout_ms_ = static_cast<int>(parsed);
+  }
+  if (const char* env = std::getenv("LR_TEST_TRANSPORT_FAULT"); env != nullptr && *env != '\0') {
+    const TransportFault fault = parse_transport_fault(env);
+    for (auto& transport : transports_) {
+      transport = std::make_shared<FaultyTransport>(std::move(transport), fault);
     }
   }
 }
 
-std::size_t ShardCoordinator::total_capacity() const noexcept {
+std::size_t ShardRunner::total_workers() const noexcept {
   std::size_t capacity = 0;
   for (const auto& transport : transports_) capacity += transport->capacity();
   return capacity;
 }
 
-SweepReport ShardCoordinator::run(const SweepSpec& spec) {
+SweepReport ShardRunner::run(const SweepSpec& spec) {
   const std::vector<RunSpec> runs = spec.expand();
   const std::size_t total = runs.size();
   diagnostics_.clear();
@@ -93,7 +114,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   report.records.resize(total);
   if (total == 0) return report;
 
-  const std::vector<ShardRange> ranges = shard_ranges(total, total_capacity());
+  const std::vector<ShardRange> ranges = shard_ranges(total, total_workers());
   const std::size_t shards = ranges.size();
   diagnostics_.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -102,20 +123,18 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
   }
 
   const std::string spec_text = format_sweep_spec(spec);
-  int timeout_ms = options_.timeout_ms;
-  if (const char* env = std::getenv("LR_TEST_WORKER_TIMEOUT_MS")) {
-    timeout_ms = std::max(1, std::atoi(env));
-  }
-  const int heartbeat_ms =
-      options_.heartbeat_ms > 0 ? options_.heartbeat_ms : std::max(10, timeout_ms / 4);
-  const std::size_t max_attempts = std::max<std::size_t>(1, options_.retry.max_attempts);
+  const int heartbeat_ms = std::max(10, timeout_ms_ / 4);
+  // The worker tolerates a few missed beacons before declaring this end
+  // gone and unwinding its session.
+  const auto liveness_timeout_ms =
+      static_cast<std::uint32_t>(std::max(2LL * timeout_ms_, 2'000LL));
+  const RetryPolicy retry;
+  const std::size_t max_attempts = std::max<std::size_t>(1, 1 + options_.worker_retries);
 
   std::vector<Endpoint> endpoints;
   endpoints.reserve(transports_.size());
   for (const auto& transport : transports_) endpoints.push_back({transport});
 
-  const SigpipeGuard sigpipe_guard;
-  std::vector<SweepCacheStats> shard_cache(shards);
   std::vector<LiveAttempt> live;
   std::vector<PendingShard> pending;
   pending.reserve(shards);
@@ -135,25 +154,17 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     return count;
   };
 
-  // Appends the attempt's failure line, charges the endpoint's liveness
+  // Logs the attempt's failure, charges the endpoint's liveness
   // score, and re-queues the shard behind its backoff gate — or declares
   // the budget exhausted.
   const auto record_failure = [&](const LiveAttempt& attempt, const std::string& cause) {
     ShardDiagnostics& diag = diagnostics_[attempt.shard];
-    diag.failures.push_back("attempt " + std::to_string(diag.attempts) + ": " + cause);
-    diag.attempt_log.push_back({diag.attempts - 1,
-                                attempt.endpoint == kNoEndpoint
-                                    ? std::string("unassigned")
-                                    : endpoints[attempt.endpoint].transport->endpoint(),
-                                cause, elapsed_ms_since(attempt.started), attempt.backoff_ms});
-    if (attempt.endpoint != kNoEndpoint) {
-      Endpoint& endpoint = endpoints[attempt.endpoint];
-      if (++endpoint.consecutive_failures >= options_.endpoint_failure_threshold) {
-        endpoint.dead = true;
-      }
-    }
+    Endpoint& endpoint = endpoints[attempt.endpoint];
+    diag.attempt_log.push_back({diag.attempts - 1, endpoint.transport->endpoint(), cause,
+                                elapsed_ms_since(attempt.started), attempt.backoff_ms});
+    if (++endpoint.consecutive_failures >= kEndpointFailureThreshold) endpoint.dead = true;
     if (diag.attempts < max_attempts) {
-      const auto backoff = options_.retry.delay(attempt.shard, diag.attempts);
+      const auto backoff = retry.delay(attempt.shard, diag.attempts);
       pending.push_back(
           {attempt.shard, Clock::now() + backoff, attempt.endpoint, backoff.count()});
     } else {
@@ -202,7 +213,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
         return "out-of-order record (got run #" + std::to_string(record.global_index) +
                ", expected #" + std::to_string(attempt.next_index) + ")";
       }
-      if (!specs_equal(record.record.spec, runs[record.global_index])) {
+      if (record.record.spec != runs[record.global_index]) {
         return "record #" + std::to_string(record.global_index) +
                " carries a spec that differs from the parent's expansion";
       }
@@ -217,7 +228,12 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
              std::to_string(range.size()) + ")";
     }
     attempt.done_seen = true;
-    attempt.cache = frame.done.cache;
+    // A valid shard-done completes the shard, so each shard's worker
+    // cache counters are summed exactly once.
+    report.cache.entries += frame.done.cache.entries;
+    report.cache.hits += frame.done.cache.hits;
+    report.cache.misses += frame.done.cache.misses;
+    report.cache.evictions += frame.done.cache.evictions;
     return {};
   };
 
@@ -260,33 +276,32 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
 
       ShardDiagnostics& diag = diagnostics_[job.shard];
       ++diag.attempts;
-      ShardAssignment assignment;
-      assignment.shard = job.shard;
-      assignment.range = ranges[job.shard];
-      assignment.total = total;
-      assignment.attempt = diag.attempts - 1;
-      assignment.spec_text = spec_text;
-      assignment.threads = options_.threads;
-      assignment.cache_cap = options_.cache_cap;
-      assignment.start_timeout_ms = options_.start_timeout_ms;
-      assignment.heartbeat_ms = heartbeat_ms;
-      // The worker tolerates a few missed coordinator beacons before
-      // declaring the coordinator gone and unwinding its session.
-      assignment.liveness_timeout_ms = std::max(2 * timeout_ms, 2'000);
+      ShardRequestFrame request;
+      request.shard = job.shard;
+      request.begin = ranges[job.shard].begin;
+      request.end = ranges[job.shard].end;
+      request.total = total;
+      request.attempt = diag.attempts - 1;
+      request.threads = options_.threads;
+      request.cache_cap = options_.cache_max_entries;
+      request.heartbeat_ms = static_cast<std::uint32_t>(heartbeat_ms);
+      request.liveness_timeout_ms = liveness_timeout_ms;
+      request.spec_text = spec_text;
 
       LiveAttempt attempt;
       attempt.shard = job.shard;
       attempt.endpoint = chosen;
       attempt.started = Clock::now();
       attempt.backoff_ms = job.backoff_ms;
-      ShardStart started = endpoints[chosen].transport->start(assignment);
+      ShardStart started =
+          endpoints[chosen].transport->start(request, attempt.started + kStartTimeout);
       if (started.channel == nullptr) {
         record_failure(attempt, started.error);
         continue;  // re-scan from the same index (erase shifted the rest)
       }
       attempt.channel = std::move(started.channel);
       attempt.next_index = ranges[job.shard].begin;
-      attempt.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+      attempt.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms_);
       live.push_back(std::move(attempt));
     }
     if (exhausted || completed == shards) break;
@@ -295,17 +310,18 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     // deadline, backoff gate, or the next coordinator beacon.
     std::vector<struct pollfd> fds;
     fds.reserve(live.size());
-    const Clock::time_point after_dispatch = Clock::now();
     Clock::time_point earliest = next_heartbeat;
     for (const LiveAttempt& attempt : live) {
       fds.push_back({attempt.channel->poll_fd(), POLLIN, 0});
       earliest = std::min(earliest, attempt.deadline);
     }
     for (const PendingShard& job : pending) {
-      // A past-due job still queued is waiting for a lane, not the
-      // clock; lanes free via fd events or deadlines, so a passed gate
-      // must not clamp this wait to a busy spin.
-      if (job.not_before > after_dispatch) earliest = std::min(earliest, job.not_before);
+      // A job past due when dispatch looked at it is waiting for a lane,
+      // not the clock; lanes free via fd events or deadlines, so its gate
+      // must not clamp this wait to a busy spin.  A gate that passed
+      // during dispatch still counts (the wait is then 0), or the job
+      // would sleep a full poll cap with no fd left to wake it.
+      if (job.not_before > now) earliest = std::min(earliest, job.not_before);
     }
     const auto wait_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(earliest - Clock::now()).count();
@@ -328,7 +344,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
           std::uint8_t buffer[65536];
           const ChannelRead read = attempt.channel->read_some(buffer, sizeof(buffer));
           if (read.kind == ChannelRead::Kind::kData) {
-            attempt.deadline = after_poll + std::chrono::milliseconds(timeout_ms);
+            attempt.deadline = after_poll + std::chrono::milliseconds(timeout_ms_);
             attempt.parser.feed(buffer, read.bytes);
             try {
               while (auto frame = attempt.parser.next()) {
@@ -364,7 +380,6 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
             {diagnostics_[attempt.shard].attempts - 1,
              endpoints[attempt.endpoint].transport->endpoint(), "ok",
              elapsed_ms_since(attempt.started), attempt.backoff_ms});
-        shard_cache[attempt.shard] = attempt.cache;
         Endpoint& endpoint = endpoints[attempt.endpoint];
         endpoint.consecutive_failures = 0;
         endpoint.dead = false;  // a completing endpoint is alive, whatever we presumed
@@ -374,7 +389,7 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
         continue;
       }
       if (failure.empty() && after_poll >= attempt.deadline) {
-        failure = "stalled: no frame within " + std::to_string(timeout_ms) + " ms";
+        failure = "stalled: no frame within " + std::to_string(timeout_ms_) + " ms";
       }
       if (failure.empty() && send_beacons) {
         const std::string beacon_error = attempt.channel->send_heartbeat(heartbeat_sequence++);
@@ -398,65 +413,21 @@ SweepReport ShardCoordinator::run(const SweepSpec& spec) {
     for (LiveAttempt& attempt : live) attempt.channel->abort();
     std::string message =
         nowhere_to_run
-            ? options_.label +
-                  " failed: every endpoint is dead with shards outstanding"
-            : options_.label + " failed: retry budget exhausted (" +
-                  std::to_string(max_attempts) + " attempt(s) per shard)";
+            ? label_ + " failed: every endpoint is dead with shards outstanding"
+            : label_ + " failed: retry budget exhausted (" + std::to_string(max_attempts) +
+                  " attempt(s) per shard)";
     for (const ShardDiagnostics& diag : diagnostics_) {
-      if (diag.failures.empty()) continue;
+      const std::vector<std::string> failures = diag.failure_lines();
+      if (failures.empty()) continue;
       message += "\n  shard " + std::to_string(diag.shard) + " (runs [" +
                  std::to_string(diag.range.begin) + ", " + std::to_string(diag.range.end) +
                  "), " + (diag.completed ? "completed" : "INCOMPLETE") + "):";
-      for (const std::string& failure : diag.failures) message += "\n    " + failure;
+      for (const std::string& failure : failures) message += "\n    " + failure;
     }
     throw std::runtime_error(message);
   }
 
-  for (const SweepCacheStats& cache : shard_cache) {
-    report.cache.entries += cache.entries;
-    report.cache.hits += cache.hits;
-    report.cache.misses += cache.misses;
-    report.cache.evictions += cache.evictions;
-  }
   return report;
 }
-
-namespace {
-
-/// Builds the coordinator a ShardRunner drives: one TCP transport per
-/// host plus the local process endpoint, each wrapped in a
-/// FaultyTransport when the LR_TEST_TRANSPORT_FAULT knob is set.
-ShardCoordinator make_coordinator(const RunnerOptions& options, std::vector<HostSpec> hosts,
-                                  std::string worker_command) {
-  std::vector<std::shared_ptr<ShardTransport>> transports;
-  for (const HostSpec& host : hosts) {
-    transports.push_back(std::make_shared<TcpShardTransport>(host.host, host.port, host.workers));
-  }
-  if (options.process_workers > 0) {
-    // Remote hosts do not share this filesystem, so only the local
-    // children get the snapshot dir (the CLI rejects --hosts with it).
-    transports.push_back(std::make_shared<ProcessShardTransport>(
-        options.process_workers, options.snapshot_dir, std::move(worker_command)));
-  }
-  if (const char* env = std::getenv("LR_TEST_TRANSPORT_FAULT"); env != nullptr && *env != '\0') {
-    const TransportFault fault = parse_transport_fault(env);
-    for (auto& transport : transports) {
-      transport = std::make_shared<FaultyTransport>(std::move(transport), fault);
-    }
-  }
-  CoordinatorOptions coordinator_options;
-  coordinator_options.retry.max_attempts = 1 + options.worker_retries;
-  coordinator_options.timeout_ms = options.worker_timeout_ms;
-  coordinator_options.label = hosts.empty() ? "multi-process sweep" : "multi-host sweep";
-  coordinator_options.threads = options.threads;
-  coordinator_options.cache_cap = options.cache_max_entries;
-  return ShardCoordinator(std::move(coordinator_options), std::move(transports));
-}
-
-}  // namespace
-
-ShardRunner::ShardRunner(RunnerOptions options, std::vector<HostSpec> hosts,
-                         std::string worker_command)
-    : coordinator_(make_coordinator(options, std::move(hosts), std::move(worker_command))) {}
 
 }  // namespace lr

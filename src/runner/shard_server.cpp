@@ -21,6 +21,7 @@
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard_protocol.hpp"
+#include "runner/shard_transport.hpp"
 
 namespace lr {
 
@@ -59,46 +60,27 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
 // Worker fault injection (LR_TEST_WORKER_FAULT)
 // ---------------------------------------------------------------------------
 
-enum class WorkerFault { kNone, kExit, kSegv, kTruncate, kStall };
+/// Listed in LR_TEST_WORKER_FAULT's kind order.
+enum class WorkerFault { kExit, kSegv, kTruncate, kStall, kNone };
 
-/// Reads LR_TEST_WORKER_FAULT (`kind:shard[:attempts]`) and returns the
-/// fault armed for this shard attempt: the shard matches and the attempt
-/// is within the knob's count (default 1, so a retried shard succeeds
-/// unless the knob says otherwise).  A malformed knob ends the process
-/// with exit code 2; only `--stdio` children ever read it.
+/// Reads LR_TEST_WORKER_FAULT (`kind:shard[:attempts]`, parse_fault_hook's
+/// grammar) and returns the fault armed for this shard attempt: the
+/// shard matches and the attempt is within the hook's count (default 1,
+/// so a retried shard succeeds unless the hook says otherwise).  A
+/// malformed hook ends the process with exit code 2; only `--stdio`
+/// children ever read it.
 WorkerFault armed_worker_fault(std::uint64_t shard, std::uint64_t attempt) {
   const char* env = std::getenv("LR_TEST_WORKER_FAULT");
   if (env == nullptr || *env == '\0') return WorkerFault::kNone;
-  const std::string text(env);
-  const std::size_t first = text.find(':');
-  if (first == std::string::npos) {
-    std::fprintf(stderr, "error: malformed LR_TEST_WORKER_FAULT '%s' (want kind:shard[:attempts])\n",
-                 env);
+  FaultHook hook;
+  try {
+    hook = parse_fault_hook("LR_TEST_WORKER_FAULT", env, {"exit", "segv", "truncate", "stall"});
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
     ::_exit(2);
   }
-  const std::string kind = text.substr(0, first);
-  std::string rest = text.substr(first + 1);
-  std::uint64_t attempts = 1;
-  const std::size_t second = rest.find(':');
-  if (second != std::string::npos) {
-    attempts = std::strtoull(rest.c_str() + second + 1, nullptr, 10);
-    rest.resize(second);
-  }
-  WorkerFault fault = WorkerFault::kNone;
-  if (kind == "exit") {
-    fault = WorkerFault::kExit;
-  } else if (kind == "segv") {
-    fault = WorkerFault::kSegv;
-  } else if (kind == "truncate") {
-    fault = WorkerFault::kTruncate;
-  } else if (kind == "stall") {
-    fault = WorkerFault::kStall;
-  } else {
-    std::fprintf(stderr, "error: unknown LR_TEST_WORKER_FAULT kind '%s'\n", kind.c_str());
-    ::_exit(2);
-  }
-  const bool armed = std::strtoull(rest.c_str(), nullptr, 10) == shard && attempt < attempts;
-  return armed ? fault : WorkerFault::kNone;
+  const bool armed = hook.shard == shard && attempt < hook.attempts;
+  return armed ? static_cast<WorkerFault>(hook.kind) : WorkerFault::kNone;
 }
 
 /// Injects `fault` mid-shard; every branch leaves the process.  Holding
@@ -467,9 +449,7 @@ void ShardServer::accept_loop() {
       sessions_.push_back(session);
     }
     session->thread = std::thread([this, session] {
-      ShardSessionOptions session_options;
-      session_options.request_timeout_ms = options_.request_timeout_ms;
-      const bool completed = serve_shard_session(*session, session_options);
+      const bool completed = serve_shard_session(*session, ShardSessionOptions{});
       (completed ? sessions_completed_ : sessions_failed_).fetch_add(1);
     });
   }
@@ -533,9 +513,13 @@ int shard_server_main(int argc, char** argv) {
     } else if (flag == "--snapshot-dir") {
       snapshot_dir = value;
     } else if (flag == "--listen") {
-      char* end = nullptr;
-      const unsigned long port = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || port == 0 || port > 65535) {
+      std::uint64_t port = 0;
+      try {
+        port = parse_u64(value);
+      } catch (const std::invalid_argument&) {
+        // stays 0: rejected below with the usage text
+      }
+      if (port == 0 || port > 65535) {
         return server_argv_error("--listen needs a port in 1..65535, got '" + value + "'");
       }
       options.port = static_cast<std::uint16_t>(port);

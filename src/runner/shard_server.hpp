@@ -32,10 +32,12 @@
 /// Fault injection (test hook, `--stdio` children only): the
 /// LR_TEST_WORKER_FAULT environment variable — `exit:<shard>`,
 /// `segv:<shard>`, `truncate:<shard>`, `stall:<shard>`, each with an
-/// optional `:<attempts>` suffix (default 1) — makes the child inject
-/// that fault mid-shard on its first `<attempts>` attempts, which is
-/// how tests/process_runner_test.cpp drives the retry-then-success and
-/// bounded-retry-then-loud-failure batteries.
+/// optional `:<attempts>` suffix (default 1), parsed by
+/// parse_fault_hook (runner/shard_transport.hpp) — makes the child
+/// inject that fault mid-shard on its first `<attempts>` attempts, which
+/// is how tests/process_runner_test.cpp drives the retry-then-success
+/// and bounded-retry-then-loud-failure batteries.  A malformed value
+/// makes the child exit 2 naming it.
 
 namespace lr {
 
@@ -89,11 +91,9 @@ struct ShardServerOptions {
   std::string bind_address = "127.0.0.1";
 
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
+  /// Every connection's session runs with the default
+  /// ShardSessionOptions.
   std::uint16_t port = 0;
-
-  /// Budget for a connected coordinator to deliver its kShardRequest
-  /// before the connection is dropped.
-  int request_timeout_ms = 10'000;
 };
 
 /// A running TCP shard server: binds in the constructor (so the port is

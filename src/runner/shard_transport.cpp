@@ -19,7 +19,7 @@
 #include <thread>
 #include <utility>
 
-#include "runner/shard_protocol.hpp"
+#include "runner/scenario.hpp"
 
 namespace lr {
 
@@ -37,6 +37,15 @@ std::vector<ShardRange> shard_ranges(std::size_t runs, std::size_t shards) {
     begin += size;
   }
   return ranges;
+}
+
+std::vector<std::string> ShardDiagnostics::failure_lines() const {
+  std::vector<std::string> lines;
+  for (const ShardAttemptLog& entry : attempt_log) {
+    if (entry.outcome == "ok") continue;
+    lines.push_back("attempt " + std::to_string(entry.attempt + 1) + ": " + entry.outcome);
+  }
+  return lines;
 }
 
 namespace {
@@ -61,28 +70,15 @@ std::string describe_status(int status) {
   return "unknown wait status " + std::to_string(status);
 }
 
-/// The running binary's path: the default worker command, so any binary
-/// that forwards `shard-server` argv to shard_server_main() self-hosts
-/// its workers.
-std::string self_executable_path() {
-  char buffer[4096];
-  const ssize_t length = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (length <= 0) {
-    throw std::runtime_error(
-        "ProcessShardTransport: cannot resolve /proc/self/exe; pass worker_command explicitly");
-  }
-  buffer[length] = '\0';
-  return buffer;
-}
-
-/// Writes `size` bytes to a nonblocking fd, polling for writability
-/// until `deadline`.  Returns empty on success, else the failure
-/// description.
+/// Writes `size` bytes to a nonblocking socket, polling for writability
+/// until `deadline`.  MSG_NOSIGNAL turns a write to a dead worker into an
+/// EPIPE failure of this attempt instead of a SIGPIPE.  Returns empty on
+/// success, else the failure description.
 std::string write_all_deadline(int fd, const std::uint8_t* data, std::size_t size,
                                Clock::time_point deadline) {
   std::size_t written = 0;
   while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
+    const ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       continue;
@@ -154,25 +150,6 @@ class SocketShardChannel final : public ShardChannel {
     if (pid_ > 0) reap();
   }
 
-  /// Ships the attempt's kShardRequest within `deadline`; returns empty
-  /// on success, else the failure description.
-  std::string send_request(const ShardAssignment& assignment, Clock::time_point deadline) {
-    ShardRequestFrame request;
-    request.shard = assignment.shard;
-    request.begin = assignment.range.begin;
-    request.end = assignment.range.end;
-    request.total = assignment.total;
-    request.attempt = assignment.attempt;
-    request.threads = assignment.threads;
-    request.cache_cap = assignment.cache_cap;
-    request.heartbeat_ms = static_cast<std::uint32_t>(std::max(assignment.heartbeat_ms, 1));
-    request.liveness_timeout_ms =
-        static_cast<std::uint32_t>(std::max(assignment.liveness_timeout_ms, 1));
-    request.spec_text = assignment.spec_text;
-    const std::vector<std::uint8_t> bytes = encode_frame(request);
-    return write_all_deadline(fd_, bytes.data(), bytes.size(), deadline);
-  }
-
  private:
   /// Waits for the child and describes how it ended.
   std::string reap() {
@@ -188,11 +165,12 @@ class SocketShardChannel final : public ShardChannel {
 
 /// Wraps a connected nonblocking socket in a channel and ships the
 /// attempt's request over it; a failed shipment aborts the channel.
-ShardStart start_session(int fd, pid_t pid, const ShardAssignment& assignment,
+ShardStart start_session(int fd, pid_t pid, const ShardRequestFrame& request,
                          Clock::time_point deadline, const std::string& endpoint) {
   auto channel = std::make_unique<SocketShardChannel>(fd, pid);
   ShardStart result;
-  const std::string error = channel->send_request(assignment, deadline);
+  const std::vector<std::uint8_t> bytes = encode_frame(request);
+  const std::string error = write_all_deadline(fd, bytes.data(), bytes.size(), deadline);
   if (!error.empty()) {
     result.error = endpoint + ": failed shipping shard request (" + error + ", " +
                    channel->abort() + ")";
@@ -218,9 +196,11 @@ ProcessShardTransport::ProcessShardTransport(std::size_t workers, std::string sn
   }
 }
 
-ShardStart ProcessShardTransport::start(const ShardAssignment& assignment) {
+ShardStart ProcessShardTransport::start(const ShardRequestFrame& request,
+                                        Clock::time_point deadline) {
   ShardStart result;
-  const std::string command = worker_command_.empty() ? self_executable_path() : worker_command_;
+  // /proc/self/exe in the child names the binary the parent runs.
+  const std::string command = worker_command_.empty() ? "/proc/self/exe" : worker_command_;
   // Close-on-exec keeps every other child from inheriting this attempt's
   // end, so the child sees EOF the moment the coordinator closes it.
   int fds[2] = {-1, -1};
@@ -254,9 +234,7 @@ ShardStart ProcessShardTransport::start(const ShardAssignment& assignment) {
   }
   close_fd(fds[1]);
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-  return start_session(fds[0], pid, assignment,
-                       Clock::now() + std::chrono::milliseconds(assignment.start_timeout_ms),
-                       endpoint_);
+  return start_session(fds[0], pid, request, deadline, endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,10 +252,9 @@ TcpShardTransport::TcpShardTransport(std::string host, std::uint16_t port, std::
   endpoint_ = host_ + ":" + std::to_string(port_);
 }
 
-ShardStart TcpShardTransport::start(const ShardAssignment& assignment) {
+ShardStart TcpShardTransport::start(const ShardRequestFrame& request,
+                                    Clock::time_point deadline) {
   ShardStart result;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(assignment.start_timeout_ms);
 
   struct addrinfo hints {};
   hints.ai_family = AF_UNSPEC;
@@ -331,7 +308,7 @@ ShardStart TcpShardTransport::start(const ShardAssignment& assignment) {
   // don't let Nagle batch them against delayed ACKs.
   int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-  return start_session(fd, -1, assignment, deadline, endpoint_);
+  return start_session(fd, -1, request, deadline, endpoint_);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,18 +322,15 @@ namespace {
                               " (want host:port[*workers])");
 }
 
-/// Strict non-negative integer parse; returns false on empty input,
-/// non-digits, or overflow past `max`.
-bool parse_uint(const std::string& text, std::uint64_t max, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    if (value > max) return false;
+/// parse_u64 bounded to [min, max]; false on anything else.
+bool parse_bounded(const std::string& text, std::uint64_t min, std::uint64_t max,
+                   std::uint64_t& out) {
+  try {
+    out = parse_u64(text);
+  } catch (const std::invalid_argument&) {
+    return false;
   }
-  out = value;
-  return true;
+  return out >= min && out <= max;
 }
 
 }  // namespace
@@ -376,7 +350,7 @@ std::vector<HostSpec> parse_host_list(const std::string& text) {
     const std::size_t star = body.find('*');
     if (star != std::string::npos) {
       const std::string workers_text = body.substr(star + 1);
-      if (!parse_uint(workers_text, 1024, workers) || workers == 0) {
+      if (!parse_bounded(workers_text, 1, 1024, workers)) {
         bad_host_entry(entry, "worker count must be an integer in 1..1024");
       }
       body.resize(star);
@@ -386,7 +360,7 @@ std::vector<HostSpec> parse_host_list(const std::string& text) {
     const std::string host = body.substr(0, colon);
     if (host.empty()) bad_host_entry(entry, "empty host");
     std::uint64_t port = 0;
-    if (!parse_uint(body.substr(colon + 1), 65535, port) || port == 0) {
+    if (!parse_bounded(body.substr(colon + 1), 1, 65535, port)) {
       bad_host_entry(entry, "port must be an integer in 1..65535");
     }
     hosts.push_back({host, static_cast<std::uint16_t>(port), static_cast<std::size_t>(workers)});
@@ -399,43 +373,42 @@ std::vector<HostSpec> parse_host_list(const std::string& text) {
 // Fault injection
 // ---------------------------------------------------------------------------
 
-TransportFault parse_transport_fault(const std::string& text) {
-  const auto bad = [&](const std::string& why) -> TransportFault {
-    throw std::invalid_argument("bad transport fault '" + text + "': " + why +
-                                " (want kind:shard[:attempts], kind in "
-                                "connect|drop|corrupt|hbstall|delay)");
+FaultHook parse_fault_hook(const std::string& knob, const std::string& text,
+                           const std::vector<std::string>& kinds) {
+  std::string kind_list;
+  for (const std::string& kind : kinds) kind_list += (kind_list.empty() ? "" : "|") + kind;
+  const auto bad = [&](const std::string& why) {
+    return std::invalid_argument("bad " + knob + " '" + text + "': " + why +
+                                 " (want kind:shard[:attempts], kind in " + kind_list + ")");
   };
   const std::size_t first = text.find(':');
-  if (first == std::string::npos) return bad("missing ':shard'");
+  if (first == std::string::npos) throw bad("missing ':shard'");
   const std::string kind_token = text.substr(0, first);
   std::string rest = text.substr(first + 1);
   std::uint64_t attempts = 1;
   const std::size_t second = rest.find(':');
   if (second != std::string::npos) {
-    if (!parse_uint(rest.substr(second + 1), 1u << 20, attempts) || attempts == 0) {
-      return bad("attempts must be a positive integer");
+    if (!parse_bounded(rest.substr(second + 1), 1, 1u << 20, attempts)) {
+      throw bad("attempts must be a positive integer");
     }
     rest.resize(second);
   }
   std::uint64_t shard = 0;
-  if (!parse_uint(rest, 1u << 20, shard)) return bad("shard must be a non-negative integer");
+  if (!parse_bounded(rest, 0, 1u << 20, shard)) throw bad("shard must be a non-negative integer");
+  const auto kind = std::find(kinds.begin(), kinds.end(), kind_token);
+  if (kind == kinds.end()) throw bad("unknown kind '" + kind_token + "'");
+  return {static_cast<std::size_t>(kind - kinds.begin()), static_cast<std::size_t>(shard),
+          static_cast<std::size_t>(attempts)};
+}
 
+TransportFault parse_transport_fault(const std::string& text) {
+  // Listed in TransportFault::Kind order, after kNone.
+  const FaultHook hook = parse_fault_hook("LR_TEST_TRANSPORT_FAULT", text,
+                                          {"connect", "drop", "corrupt", "hbstall", "delay"});
   TransportFault fault;
-  if (kind_token == "connect") {
-    fault.kind = TransportFault::Kind::kConnectRefuse;
-  } else if (kind_token == "drop") {
-    fault.kind = TransportFault::Kind::kDrop;
-  } else if (kind_token == "corrupt") {
-    fault.kind = TransportFault::Kind::kCorrupt;
-  } else if (kind_token == "hbstall") {
-    fault.kind = TransportFault::Kind::kHeartbeatStall;
-  } else if (kind_token == "delay") {
-    fault.kind = TransportFault::Kind::kDelay;
-  } else {
-    return bad("unknown kind '" + kind_token + "'");
-  }
-  fault.shard = static_cast<std::size_t>(shard);
-  fault.attempts = static_cast<std::size_t>(attempts);
+  fault.kind = static_cast<TransportFault::Kind>(hook.kind + 1);
+  fault.shard = hook.shard;
+  fault.attempts = hook.attempts;
   return fault;
 }
 
@@ -553,39 +526,20 @@ class FaultyChannel final : public ShardChannel {
 FaultyTransport::FaultyTransport(std::shared_ptr<ShardTransport> inner, TransportFault fault)
     : inner_(std::move(inner)), fault_(fault) {}
 
-ShardStart FaultyTransport::start(const ShardAssignment& assignment) {
+ShardStart FaultyTransport::start(const ShardRequestFrame& request,
+                                  Clock::time_point deadline) {
   const bool armed = fault_.kind != TransportFault::Kind::kNone &&
-                     assignment.shard == fault_.shard && assignment.attempt < fault_.attempts;
+                     request.shard == fault_.shard && request.attempt < fault_.attempts;
   if (armed && fault_.kind == TransportFault::Kind::kConnectRefuse) {
     ShardStart refused;
     refused.error = endpoint() + ": connect: Connection refused (injected fault)";
     return refused;
   }
-  ShardStart started = inner_->start(assignment);
+  ShardStart started = inner_->start(request, deadline);
   if (armed && started.channel != nullptr) {
     started.channel = std::make_unique<FaultyChannel>(std::move(started.channel), fault_);
   }
   return started;
-}
-
-// ---------------------------------------------------------------------------
-// SigpipeGuard
-// ---------------------------------------------------------------------------
-
-SigpipeGuard::SigpipeGuard() {
-  using Sigaction = struct sigaction;
-  auto* saved = new Sigaction{};
-  Sigaction ignore{};
-  ignore.sa_handler = SIG_IGN;
-  ::sigaction(SIGPIPE, &ignore, saved);
-  previous_ = saved;
-}
-
-SigpipeGuard::~SigpipeGuard() {
-  using Sigaction = struct sigaction;
-  auto* saved = static_cast<Sigaction*>(previous_);
-  ::sigaction(SIGPIPE, saved, nullptr);
-  delete saved;
 }
 
 }  // namespace lr

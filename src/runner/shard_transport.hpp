@@ -1,18 +1,22 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "runner/shard_protocol.hpp"
+
 /// \file shard_transport.hpp
-/// The transport abstraction of the sharded sweep dataplane: how a
-/// coordinator (runner/shard_coordinator.hpp) reaches the workers that
-/// execute its shards.  A transport only has to (1) start a shard
-/// attempt somewhere and (2) hand back a pollable socket speaking the
-/// shard protocol (runner/shard_protocol.hpp).  Every attempt ships the
-/// same v3 kShardRequest and is served by the same session function
+/// The transport abstraction of the sharded sweep dataplane: how the
+/// ShardRunner (runner/shard_coordinator.hpp) reaches the workers that
+/// execute its shards.  A transport only has to (1) ship the
+/// kShardRequest frame the runner built for an attempt to a worker
+/// before the runner's start deadline and (2) hand back a pollable
+/// socket speaking the shard protocol (runner/shard_protocol.hpp).
+/// Every attempt is served by the same session function
 /// (runner/shard_server.hpp); two transports differ only in how the
 /// socket comes to exist:
 ///
@@ -26,6 +30,10 @@
 /// stream of a chosen shard's first attempts — the network half of the
 /// fault battery (shard_server.hpp documents the worker-process half,
 /// LR_TEST_WORKER_FAULT).
+///
+/// Every write to a worker socket is a send() with MSG_NOSIGNAL, so a
+/// worker that died mid-attempt surfaces as an EPIPE failure of that one
+/// attempt; the process's SIGPIPE disposition is never touched.
 
 namespace lr {
 
@@ -68,24 +76,11 @@ struct ShardDiagnostics {
   ShardRange range;                   ///< the shard's run range
   std::size_t attempts = 0;           ///< attempts dispatched for this shard
   bool completed = false;             ///< shard delivered all its records
-  std::vector<std::string> failures;  ///< one human-readable line per failed attempt
   std::vector<ShardAttemptLog> attempt_log;  ///< every attempt, incl. the successful one
-};
 
-/// Everything a transport needs to start one shard attempt: the
-/// assignment itself plus the worker-side execution knobs, i.e. the
-/// fields of the v3 kShardRequest frame plus the start budget.
-struct ShardAssignment {
-  std::size_t shard = 0;     ///< shard index being assigned
-  ShardRange range;          ///< global run range [begin, end)
-  std::size_t total = 0;     ///< full run count of the sweep (cross-check)
-  std::size_t attempt = 0;   ///< 0 = first try, +1 per retry
-  std::string spec_text;     ///< canonical sweep spec (format_sweep_spec)
-  std::size_t threads = 1;   ///< worker-internal thread count
-  std::size_t cache_cap = 0;  ///< worker SweepCache LRU bound (0 = unbounded)
-  int start_timeout_ms = 5'000;     ///< budget for connect + assignment shipping
-  int heartbeat_ms = 1'000;         ///< worker liveness beacon interval
-  int liveness_timeout_ms = 30'000;  ///< worker-side coordinator watchdog
+  /// One human-readable line per failed attempt, "attempt <k>: <cause>"
+  /// with k one-based, in dispatch order (derived from attempt_log).
+  std::vector<std::string> failure_lines() const;
 };
 
 /// Result of ShardChannel::read_some.
@@ -152,12 +147,13 @@ class ShardTransport {
   /// Concurrent attempts this transport can serve.
   virtual std::size_t capacity() const noexcept = 0;
 
-  /// Starts one shard attempt; blocks at most
-  /// `assignment.start_timeout_ms` establishing it.  A failure (fork
-  /// failure, connection refused, timeout shipping the assignment) is
-  /// returned, not thrown — the coordinator charges it against the
-  /// shard's retry budget and the endpoint's liveness score.
-  virtual ShardStart start(const ShardAssignment& assignment) = 0;
+  /// Starts one shard attempt by shipping `request` to a worker; blocks
+  /// no later than `deadline` establishing it.  A failure (fork failure,
+  /// connection refused, timeout shipping the request) is returned, not
+  /// thrown — the runner charges it against the shard's retry budget and
+  /// the endpoint's liveness score.
+  virtual ShardStart start(const ShardRequestFrame& request,
+                           std::chrono::steady_clock::time_point deadline) = 0;
 };
 
 /// The local transport: every start() fork/execs a fresh shared-nothing
@@ -179,17 +175,18 @@ class ProcessShardTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return endpoint_; }
   std::size_t capacity() const noexcept override { return workers_; }
-  ShardStart start(const ShardAssignment& assignment) override;
+  ShardStart start(const ShardRequestFrame& request,
+                   std::chrono::steady_clock::time_point deadline) override;
 
  private:
   std::size_t workers_;
   std::string snapshot_dir_;
-  std::string worker_command_;  ///< empty = resolve /proc/self/exe lazily
+  std::string worker_command_;  ///< empty = /proc/self/exe
   std::string endpoint_ = "process";
 };
 
 /// One remote `shard-server` endpoint (runner/shard_server.hpp): every
-/// start() opens a fresh TCP connection, ships a v3 kShardRequest, and
+/// start() opens a fresh TCP connection, ships the kShardRequest, and
 /// returns the socket as the channel.
 class TcpShardTransport : public ShardTransport {
  public:
@@ -198,7 +195,8 @@ class TcpShardTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return endpoint_; }
   std::size_t capacity() const noexcept override { return workers_; }
-  ShardStart start(const ShardAssignment& assignment) override;
+  ShardStart start(const ShardRequestFrame& request,
+                   std::chrono::steady_clock::time_point deadline) override;
 
  private:
   std::string host_;
@@ -224,10 +222,27 @@ struct HostSpec {
 /// non-numeric worker count, or trailing garbage.
 std::vector<HostSpec> parse_host_list(const std::string& text);
 
+/// One test fault hook in the `kind:shard[:attempts]` grammar shared by
+/// LR_TEST_TRANSPORT_FAULT and LR_TEST_WORKER_FAULT: fault `kind` armed
+/// for the first `attempts` attempts of shard `shard`.
+struct FaultHook {
+  std::size_t kind = 0;      ///< index of the kind in the accepted list
+  std::size_t shard = 0;     ///< target shard
+  std::size_t attempts = 1;  ///< arm on attempts [0, attempts)
+};
+
+/// Parses `text`, the value of environment variable `knob`, as
+/// `kind:shard[:attempts]` with kind one of `kinds` and both integers
+/// read by parse_u64 (shard <= 2^20, attempts in 1..2^20, default 1).
+/// Throws std::invalid_argument naming `knob` and `text` on anything
+/// else.
+FaultHook parse_fault_hook(const std::string& knob, const std::string& text,
+                           const std::vector<std::string>& kinds);
+
 /// A deterministic network fault, armed for the first `attempts`
 /// attempts of one shard.  Parsed from the LR_TEST_TRANSPORT_FAULT
-/// environment knob (`kind:shard[:attempts]`), mirroring
-/// LR_TEST_WORKER_FAULT's shape for the worker-process faults.
+/// environment knob by parse_fault_hook, the grammar
+/// LR_TEST_WORKER_FAULT shares for the worker-process faults.
 struct TransportFault {
   /// Network fault classes.
   enum class Kind : std::uint8_t {
@@ -245,8 +260,9 @@ struct TransportFault {
   std::uint32_t delay_ms = 2;  ///< per-read delay of the `delay` fault
 };
 
-/// Parses `kind:shard[:attempts]` (kind in connect|drop|corrupt|hbstall|
-/// delay); throws std::invalid_argument on malformed input.
+/// Parses an LR_TEST_TRANSPORT_FAULT value, `kind:shard[:attempts]`
+/// (kind in connect|drop|corrupt|hbstall|delay); throws
+/// std::invalid_argument on malformed input.
 TransportFault parse_transport_fault(const std::string& text);
 
 /// Decorator injecting one TransportFault into an inner transport's byte
@@ -261,26 +277,12 @@ class FaultyTransport : public ShardTransport {
 
   const std::string& endpoint() const noexcept override { return inner_->endpoint(); }
   std::size_t capacity() const noexcept override { return inner_->capacity(); }
-  ShardStart start(const ShardAssignment& assignment) override;
+  ShardStart start(const ShardRequestFrame& request,
+                   std::chrono::steady_clock::time_point deadline) override;
 
  private:
   std::shared_ptr<ShardTransport> inner_;
   TransportFault fault_;
-};
-
-/// Restores the previous SIGPIPE disposition on scope exit.  A shard
-/// coordinator ignores SIGPIPE while attempts live so a write to a dead
-/// worker's socket fails with EPIPE (a per-shard failure)
-/// instead of killing the whole sweep.
-class SigpipeGuard {
- public:
-  SigpipeGuard();
-  ~SigpipeGuard();
-  SigpipeGuard(const SigpipeGuard&) = delete;
-  SigpipeGuard& operator=(const SigpipeGuard&) = delete;
-
- private:
-  void* previous_;  ///< opaque saved struct sigaction
 };
 
 }  // namespace lr

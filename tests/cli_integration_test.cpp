@@ -493,6 +493,33 @@ TEST_F(CliIntegrationTest, ShardServerArgvValidation) {
   EXPECT_EQ(run_command("shard-server --listen 9000 --snapshot-dir /tmp").exit_code, 2);
 }
 
+TEST_F(CliIntegrationTest, IntegerArgumentsAreStrict) {
+  // Every integer argument goes through one strict parser: a suffix, a
+  // sign or an overflow is a usage error (exit 2), never a silent prefix
+  // parse or a wrapped value.
+  const std::string path = temp_file("cli_it_strict.lri");
+  EXPECT_EQ(run_command("gen chain 12x 7y " + path).exit_code, 2);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  ASSERT_EQ(run_command("gen chain 12 7 " + path).exit_code, 0);
+  EXPECT_EQ(run_command("run " + path + " pr lowest 5z").exit_code, 2);
+  EXPECT_EQ(run_command("run " + path + " pr lowest 5").exit_code, 0);
+  const std::string spec_path = write_small_sweep_spec("cli_it_strict.sweep");
+  // Overflow is probed on --retries only: a parser that let it through
+  // must never be asked for a huge thread pool or process fleet.
+  EXPECT_EQ(run_command("sweep " + spec_path + " --retries 99999999999999999999").exit_code, 2);
+  EXPECT_EQ(run_command("sweep " + spec_path + " --cache-cap 4k").exit_code, 2);
+  const std::string snapshot = temp_file("cli_it_strict.lrsnap");
+  EXPECT_EQ(run_command("snapshot save chain 8x 1 " + snapshot).exit_code, 2);
+  EXPECT_EQ(run_command("snapshot save chain 8 1y " + snapshot).exit_code, 2);
+  EXPECT_EQ(run_command("serve chain 8x").exit_code, 2);
+  EXPECT_EQ(run_command("serve chain 8 --seed 3q").exit_code, 2);
+  EXPECT_EQ(run_command("shard-server --listen 9000x").exit_code, 2);
+  EXPECT_EQ(run_command("sweep " + spec_path + " --hosts 127.0.0.1:9000x").exit_code, 2);
+  std::filesystem::remove(path);
+  std::filesystem::remove(spec_path);
+  std::filesystem::remove(snapshot);
+}
+
 /// A loopback port the kernel just reported free (bind to port 0), so
 /// the test never guesses at a port another process may hold.
 std::uint16_t free_loopback_port() {

@@ -152,7 +152,7 @@ TEST(MultiHostRunner, ByteIdenticalAcrossHostAndWorkerCounts) {
     for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
       EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
       EXPECT_EQ(diag.attempts, 1u) << "shard " << diag.shard;
-      EXPECT_TRUE(diag.failures.empty()) << "shard " << diag.shard;
+      EXPECT_TRUE(diag.failure_lines().empty()) << "shard " << diag.shard;
       ASSERT_EQ(diag.attempt_log.size(), 1u);
       EXPECT_EQ(diag.attempt_log[0].outcome, "ok");
       EXPECT_NE(diag.attempt_log[0].endpoint.find("127.0.0.1:"), std::string::npos);
@@ -197,7 +197,7 @@ TEST_P(MultiHostFaultBattery, RecoversWithinBudgetAndStaysByteIdentical) {
   EXPECT_TRUE(hit.completed);
   if (fault.recovers_via_retry) {
     EXPECT_EQ(hit.attempts, 2u) << fault.knob;
-    ASSERT_EQ(hit.failures.size(), 1u) << fault.knob;
+    ASSERT_EQ(hit.failure_lines().size(), 1u) << fault.knob;
     // `expect_in_failure` lists acceptable classifications, '|'-separated
     // (a stalled channel may surface as the inactivity watchdog or as a
     // coordinator heartbeat failing on the dead-looking socket — both
@@ -207,16 +207,16 @@ TEST_P(MultiHostFaultBattery, RecoversWithinBudgetAndStaysByteIdentical) {
       std::string token;
       bool matched = false;
       while (std::getline(alternatives, token, '|')) {
-        matched = matched || hit.failures[0].find(token) != std::string::npos;
+        matched = matched || hit.failure_lines()[0].find(token) != std::string::npos;
       }
-      EXPECT_TRUE(matched) << fault.knob << " logged: " << hit.failures[0];
+      EXPECT_TRUE(matched) << fault.knob << " logged: " << hit.failure_lines()[0];
     }
     ASSERT_EQ(hit.attempt_log.size(), 2u);
     EXPECT_NE(hit.attempt_log[0].outcome, "ok");
     EXPECT_EQ(hit.attempt_log[1].outcome, "ok");
   } else {
     EXPECT_EQ(hit.attempts, 1u) << fault.knob;
-    EXPECT_TRUE(hit.failures.empty()) << fault.knob;
+    EXPECT_TRUE(hit.failure_lines().empty()) << fault.knob;
   }
   for (const ShardDiagnostics& diag : diagnostics) {
     EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
@@ -257,7 +257,7 @@ TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
   ASSERT_FALSE(diagnostics.empty());
   EXPECT_FALSE(diagnostics[0].completed);
   EXPECT_EQ(diagnostics[0].attempts, 2u);
-  EXPECT_EQ(diagnostics[0].failures.size(), 2u);
+  EXPECT_EQ(diagnostics[0].failure_lines().size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ TEST(MultiHostRunner, DeadHostShardsReassignToSurvivor) {
   bool any_refused = false;
   for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
     EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
-    for (const std::string& failure : diag.failures) {
+    for (const std::string& failure : diag.failure_lines()) {
       any_refused = any_refused || failure.find("connect") != std::string::npos;
     }
     ASSERT_FALSE(diag.attempt_log.empty());
@@ -323,7 +323,7 @@ TEST(MultiHostRunner, AllHostsDeadEngagesLocalProcessFallback) {
     EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
     ASSERT_FALSE(diag.attempt_log.empty());
     EXPECT_EQ(diag.attempt_log.back().endpoint, "process");
-    refused += diag.failures.size();
+    refused += diag.failure_lines().size();
   }
   EXPECT_GE(refused, 4u);  // both hosts were tried until declared dead
 }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
+#include <signal.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runner/runner.hpp"
@@ -19,7 +23,9 @@
 /// exercise the engine / sim parallelism knobs), and the fault-injection
 /// battery — each of exit / segv / truncate / stall must recover via a
 /// retry with identical tables, and an unrecoverable fault must fail
-/// loudly with per-shard diagnostics, never hang or drop runs.
+/// loudly with per-shard diagnostics, never hang or drop runs.  Also
+/// pinned here: the strict parsing of the three test fault hooks, and
+/// that a sharded sweep never touches the process's SIGPIPE handler.
 ///
 /// The test binary is its own shard worker: main() below forwards a
 /// `shard-server` argv[1] straight to shard_server_main(), which is the
@@ -172,7 +178,7 @@ TEST(ProcessShardRunner, TablesAreByteIdenticalAtEveryWorkerCount) {
     for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
       EXPECT_TRUE(diag.completed);
       EXPECT_EQ(diag.attempts, 1u);
-      EXPECT_TRUE(diag.failures.empty());
+      EXPECT_TRUE(diag.failure_lines().empty());
     }
   }
 }
@@ -236,10 +242,10 @@ TEST_P(WorkerFaultRecovery, RetriesOnceAndMergesIdentically) {
     EXPECT_TRUE(diag.completed) << "shard " << diag.shard;
     if (diag.shard == 2) {
       EXPECT_EQ(diag.attempts, 2u);
-      ASSERT_EQ(diag.failures.size(), 1u);
+      ASSERT_EQ(diag.failure_lines().size(), 1u);
     } else {
       EXPECT_EQ(diag.attempts, 1u);
-      EXPECT_TRUE(diag.failures.empty());
+      EXPECT_TRUE(diag.failure_lines().empty());
     }
   }
 }
@@ -273,7 +279,7 @@ TEST(WorkerFaultExhaustion, BoundedRetriesThenLoudFailure) {
     if (diag.shard == 1) {
       EXPECT_FALSE(diag.completed);
       EXPECT_EQ(diag.attempts, 2u);  // 1 + worker_retries
-      EXPECT_EQ(diag.failures.size(), 2u);
+      EXPECT_EQ(diag.failure_lines().size(), 2u);
     }
   }
 }
@@ -289,8 +295,8 @@ TEST(WorkerFaultExhaustion, StallFaultNeverHangsTheSweep) {
   ASSERT_FALSE(runner.shard_diagnostics().empty());
   const ShardDiagnostics& diag = runner.shard_diagnostics()[0];
   EXPECT_FALSE(diag.completed);
-  ASSERT_EQ(diag.failures.size(), 2u);
-  EXPECT_NE(diag.failures[0].find("stalled"), std::string::npos) << diag.failures[0];
+  ASSERT_EQ(diag.failure_lines().size(), 2u);
+  EXPECT_NE(diag.failure_lines()[0].find("stalled"), std::string::npos) << diag.failure_lines()[0];
 }
 
 TEST(WorkerFaultRecoveryUnderLoad, MidSweepCrashStillMergesByteIdentically) {
@@ -302,6 +308,119 @@ TEST(WorkerFaultRecoveryUnderLoad, MidSweepCrashStillMergesByteIdentically) {
   const ScopedEnv fault("LR_TEST_WORKER_FAULT", "segv:0");
   ShardRunner runner({.threads = 2, .process_workers = 2, .worker_retries = 2});
   EXPECT_EQ(tables_of(runner.run(sweep)), baseline);
+}
+
+// ---------------------------------------------------------------------------
+// The test fault hooks parse strictly
+// ---------------------------------------------------------------------------
+
+TEST(FaultHooks, MalformedWorkerFaultExitsTheChildWithCode2) {
+  // Each of these once armed a fault it did not say (`exit:0:x` never
+  // fired; `exit:` and `exit:zero` fired on shard 0, exit code 3).  A
+  // malformed hook now makes every child exit 2 naming it.
+  SweepSpec sweep = small_sweep();
+  sweep.seeds = {1};
+  for (const char* text : {"exit:0:x", "exit:", "exit:zero"}) {
+    const ScopedEnv fault("LR_TEST_WORKER_FAULT", text);
+    ShardRunner runner({.threads = 1, .process_workers = 1, .worker_retries = 0});
+    try {
+      runner.run(sweep);
+      ADD_FAILURE() << "'" << text << "' was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("exit code 2"), std::string::npos)
+          << text << ": " << error.what();
+    }
+  }
+}
+
+TEST(FaultHooks, MalformedWorkerTimeoutIsRejectedByTheRunner) {
+  // `abc` once read as a 1 ms watchdog.
+  for (const std::string text : {"abc", "0", "15ms", "-5", "99999999999999999999"}) {
+    const ScopedEnv timeout("LR_TEST_WORKER_TIMEOUT_MS", text);
+    try {
+      const ShardRunner runner({.threads = 1, .process_workers = 1});
+      ADD_FAILURE() << "'" << text << "' was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + text + "'"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(FaultHooks, MalformedTransportFaultIsRejectedByTheRunner) {
+  for (const std::string text : {"drop:0:x", "drop:", "drop:0:", "explode:1"}) {
+    const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", text);
+    try {
+      const ShardRunner runner({.threads = 1, .process_workers = 1});
+      ADD_FAILURE() << "'" << text << "' was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + text + "'"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Signal hygiene
+// ---------------------------------------------------------------------------
+
+std::atomic<int> sigpipes_delivered{0};
+
+void record_sigpipe(int) { sigpipes_delivered.fetch_add(1); }
+
+/// The handler SIGPIPE has in this process right now.
+void (*current_sigpipe_handler())(int) {
+  struct sigaction current {};
+  ::sigaction(SIGPIPE, nullptr, &current);
+  return current.sa_handler;
+}
+
+TEST(ShardRunnerSignals, ShardedSweepLeavesSigpipeAlone) {
+  // A host program's SIGPIPE handler must stay installed while a sharded
+  // sweep runs and after it, even while a worker dies mid-shard: writes
+  // to a dead worker fail with EPIPE (MSG_NOSIGNAL) instead.
+  struct sigaction recording {};
+  recording.sa_handler = record_sigpipe;
+  sigemptyset(&recording.sa_mask);
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGPIPE, &recording, &saved), 0);
+
+  const SweepSpec sweep = small_sweep();
+  const std::string baseline = in_process_tables(sweep);
+  const ScopedEnv fault("LR_TEST_WORKER_FAULT", "exit:0");
+  ShardRunner runner({.threads = 1, .process_workers = 2, .worker_retries = 2});
+  std::atomic<bool> finished{false};
+  std::string tables;
+  std::string error;
+  std::thread sweeper([&] {
+    try {
+      tables = tables_of(runner.run(sweep));
+    } catch (const std::exception& failure) {
+      error = failure.what();
+    }
+    finished.store(true);
+  });
+  std::size_t reads = 0;
+  std::size_t foreign = 0;
+  while (!finished.load()) {
+    ++reads;
+    if (current_sigpipe_handler() != record_sigpipe) ++foreign;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  sweeper.join();
+  const bool handler_kept = current_sigpipe_handler() == record_sigpipe;
+  ::sigaction(SIGPIPE, &saved, nullptr);
+
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(foreign, 0u) << foreign << " of " << reads << " reads during the sweep";
+  EXPECT_TRUE(handler_kept);
+  EXPECT_EQ(sigpipes_delivered.load(), 0);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(tables, baseline);
+  const ShardDiagnostics& hit = runner.shard_diagnostics().at(0);
+  EXPECT_TRUE(hit.completed);
+  EXPECT_EQ(hit.attempts, 2u);
+  EXPECT_EQ(hit.failure_lines().size(), 1u);
 }
 
 }  // namespace

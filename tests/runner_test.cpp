@@ -124,17 +124,6 @@ TEST(SweepSpecTest, RunCountSaturatesInsteadOfWrapping) {
 // Seed-loop fuzz of the sweep-spec parser (no libFuzzer needed)
 // ---------------------------------------------------------------------------
 
-/// Field-wise RunSpec equality: the round-trip contract's notion of
-/// "the same run".
-bool same_run(const RunSpec& a, const RunSpec& b) {
-  return a.topology == b.topology && a.size == b.size && a.algorithm == b.algorithm &&
-         a.scheduler == b.scheduler && a.seed == b.seed && a.max_steps == b.max_steps &&
-         a.engine_threads == b.engine_threads && a.sim_scheduler == b.sim_scheduler &&
-         a.sim_threads == b.sim_threads &&
-         a.service_workload == b.service_workload && a.service_clients == b.service_clients &&
-         a.service_duration == b.service_duration && a.churn_events == b.churn_events;
-}
-
 /// A random valid spec with small axes: every enum axis draws from its
 /// whole token set, every integer from a range that includes 0 and
 /// values past 2^32.
@@ -180,7 +169,7 @@ void expect_round_trip(const SweepSpec& spec, const std::string& context) {
   const std::vector<RunSpec> recovered = reparsed.expand();
   ASSERT_EQ(recovered.size(), original.size()) << context;
   for (std::size_t i = 0; i < original.size(); ++i) {
-    ASSERT_TRUE(same_run(recovered[i], original[i])) << context << " run " << i;
+    ASSERT_EQ(recovered[i], original[i]) << context << " run " << i;
   }
 }
 
