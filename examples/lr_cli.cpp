@@ -25,10 +25,10 @@
 ///       stdout — byte-identical for every --threads and --cache-cap value
 ///       (the cap LRU-bounds the sweep's frozen-instance cache; 0 =
 ///       unbounded, the default).  --processes N shards the sweep across
-///       up to N concurrent shared-nothing worker processes — each shard
-///       attempt a fresh `lr_cli shard-server --stdio` child reached over
-///       a socketpair — with crash-isolated retries (--retries, default
-///       2); tables stay byte-identical to the in-process run at every
+///       up to N concurrent shared-nothing worker processes — one
+///       `lr_cli shard-server --stdio` child per lane, reached over a
+///       socketpair, pulling ranges of at most 16 runs — with
+///       crash-isolated retries (--retries, default 2); tables stay byte-identical to the in-process run at every
 ///       worker count.  With --processes or --hosts, --threads sets each
 ///       worker's internal thread count (default 1).
 ///       --snapshot-dir DIR persists each generated workload as an
@@ -52,13 +52,15 @@
 ///       sweep; `-` logs to stderr.  Requires --processes or --hosts.
 ///
 ///   lr_cli shard-server --listen <port> [--bind <address>]
-///       The worker daemon of `sweep --hosts`: serves shard-protocol v4
-///       connections (one shard per connection) until SIGINT/SIGTERM.
+///       The worker daemon of `sweep --hosts`: serves shard-protocol v5
+///       connections (successive ranges per connection) until
+///       SIGINT/SIGTERM.
 ///       Prints "shard-server listening on <address>:<port>" when ready.
 ///
 ///   lr_cli shard-server --stdio [--snapshot-dir DIR]
-///       The same shard session, served once over the socket on fd 0;
-///       `sweep --processes N` spawns its workers this way.  Exits 2 when
+///       The same shard session, served once over the socket on fd 0:
+///       successive ranges until EOF; `sweep --processes N` spawns its
+///       workers this way.  Exits 2 when
 ///       fd 0 is not a socket.
 ///
 ///   lr_cli snapshot save <topology> <size> <seed> <out.lrsnap>

@@ -257,17 +257,18 @@ struct RunnerOptions {
 
   /// Worker *processes* of the sharded sweep backend (ShardRunner,
   /// runner/shard_coordinator.hpp): 0 = in-process execution on this
-  /// runner's thread pool (the default), N >= 1 = one local endpoint
-  /// running up to N shared-nothing `shard-server --stdio` child
-  /// processes at once (shards clamped to the run count).  Like
-  /// `threads`, a pure deployment knob: the merged tables are
-  /// byte-identical at every value by construction.
+  /// runner's thread pool (the default), N >= 1 = one local endpoint of
+  /// N lanes, each a shared-nothing `shard-server --stdio` child that
+  /// serves ranges of at most kRangeRuns runs until none is left (a
+  /// fault-free sweep forks N children; lanes are clamped to the run
+  /// count).  Like `threads`, a pure deployment knob: the merged tables
+  /// are byte-identical at every value by construction.
   std::size_t process_workers = 0;
 
-  /// How many times a crashed / stalled / protocol-violating worker's
-  /// shard is retried in a fresh attempt before the whole sweep fails
-  /// loudly (sharded sweeps only).  Total attempts per shard is
-  /// 1 + worker_retries.
+  /// How many times a range whose worker crashed / stalled / violated
+  /// the protocol is retried before the whole sweep fails loudly
+  /// (sharded sweeps only).  Total attempts per range is
+  /// 1 + worker_retries, saturating: SIZE_MAX retries without bound.
   std::size_t worker_retries = 2;
 
   /// Inactivity watchdog per shard attempt in milliseconds: a worker

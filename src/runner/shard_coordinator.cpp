@@ -33,26 +33,27 @@ struct Endpoint {
   bool dead = false;
 };
 
-/// One live shard attempt, as the runner tracks it.
-struct LiveAttempt {
-  std::size_t shard = 0;
+/// One lane's session: a channel that carries successive ranges, and
+/// the range in flight on it.
+struct Lane {
   std::size_t endpoint = kNoEndpoint;
   std::unique_ptr<ShardChannel> channel;
-  std::size_t next_index = 0;  ///< next global run index the shard owes
+  FrameParser parser;          ///< survives across the session's ranges
+  Clock::time_point deadline;  ///< inactivity watchdog expiry
+  std::size_t shard = 0;       ///< range in flight
+  std::size_t next_index = 0;  ///< next global run index the range owes
   bool hello_seen = false;
   bool done_seen = false;
-  FrameParser parser;
   Clock::time_point started;
-  Clock::time_point deadline;  ///< inactivity watchdog expiry
-  long long backoff_ms = 0;    ///< delay the retry policy imposed before dispatch
+  long long backoff_ms = 0;  ///< delay the retry policy imposed before dispatch
 };
 
-/// A shard awaiting (re)dispatch.
-struct PendingShard {
+/// A range to dispatch: a fresh one from the cursor or a retry.
+struct Job {
   std::size_t shard = 0;
-  Clock::time_point not_before;        ///< retry-policy gate
+  Clock::time_point not_before;              ///< retry-policy gate
   std::size_t avoid_endpoint = kNoEndpoint;  ///< endpoint of the last failure
-  long long backoff_ms = 0;            ///< the gate's delay, for the attempt log
+  long long backoff_ms = 0;                  ///< the gate's delay, for the attempt log
 };
 
 long long elapsed_ms_since(Clock::time_point start) {
@@ -114,7 +115,12 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
   report.records.resize(total);
   if (total == 0) return report;
 
-  const std::vector<ShardRange> ranges = shard_ranges(total, total_workers());
+  // Ranges of at most kRangeRuns runs, and at least one per lane: a
+  // small sweep splits exactly across the lanes, a large one into more
+  // ranges than lanes, which the lanes pull as they finish.
+  const std::size_t range_count =
+      std::max(total_workers(), (total + kRangeRuns - 1) / kRangeRuns);
+  const std::vector<ShardRange> ranges = shard_ranges(total, range_count);
   const std::size_t shards = ranges.size();
   diagnostics_.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -129,53 +135,158 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
   const auto liveness_timeout_ms =
       static_cast<std::uint32_t>(std::max(2LL * timeout_ms_, 2'000LL));
   const RetryPolicy retry;
-  const std::size_t max_attempts = std::max<std::size_t>(1, 1 + options_.worker_retries);
+  // Saturating: a retry count of SIZE_MAX means "retry forever", not 0.
+  const std::size_t max_attempts =
+      options_.worker_retries < std::numeric_limits<std::size_t>::max()
+          ? 1 + options_.worker_retries
+          : options_.worker_retries;
 
   std::vector<Endpoint> endpoints;
   endpoints.reserve(transports_.size());
   for (const auto& transport : transports_) endpoints.push_back({transport});
 
-  std::vector<LiveAttempt> live;
-  std::vector<PendingShard> pending;
-  pending.reserve(shards);
-  const Clock::time_point start_now = Clock::now();
-  for (std::size_t s = 0; s < shards; ++s) pending.push_back({s, start_now, kNoEndpoint, 0});
+  std::vector<Lane> lanes;
+  std::size_t next_fresh = 0;  // first range never dispatched
+  std::vector<Job> retries;    // failed ranges behind their backoff gates
   std::size_t completed = 0;
-  bool exhausted = false;       // some shard ran out of attempts
+  bool exhausted = false;       // some range ran out of attempts
   bool nowhere_to_run = false;  // every endpoint dead with work outstanding
   std::uint64_t heartbeat_sequence = 0;
   Clock::time_point next_heartbeat = Clock::now() + std::chrono::milliseconds(heartbeat_ms);
 
   const auto busy_on = [&](std::size_t endpoint) {
     std::size_t count = 0;
-    for (const LiveAttempt& attempt : live) {
-      if (attempt.endpoint == endpoint) ++count;
+    for (const Lane& lane : lanes) {
+      if (lane.endpoint == endpoint) ++count;
     }
     return count;
   };
 
-  // Logs the attempt's failure, charges the endpoint's liveness
-  // score, and re-queues the shard behind its backoff gate — or declares
-  // the budget exhausted.
-  const auto record_failure = [&](const LiveAttempt& attempt, const std::string& cause) {
-    ShardDiagnostics& diag = diagnostics_[attempt.shard];
-    Endpoint& endpoint = endpoints[attempt.endpoint];
+  // A live endpoint with a free lane, preferring one other than `avoid`
+  // (reassignment on host death); kNoEndpoint when every lane is busy.
+  const auto free_endpoint = [&](std::size_t avoid) {
+    std::size_t second_choice = kNoEndpoint;
+    for (std::size_t e = 0; e < endpoints.size(); ++e) {
+      if (endpoints[e].dead || busy_on(e) >= endpoints[e].transport->capacity()) continue;
+      if (e != avoid) return e;
+      second_choice = e;
+    }
+    return second_choice;
+  };
+
+  // Takes the next dispatchable range at `now`: a retry whose gate has
+  // passed, else the next fresh range from the cursor.
+  const auto take_job = [&](Clock::time_point now, Job& job) {
+    for (std::size_t i = 0; i < retries.size(); ++i) {
+      if (retries[i].not_before > now) continue;
+      job = retries[i];
+      retries.erase(retries.begin() + static_cast<std::ptrdiff_t>(i));
+      return true;
+    }
+    if (next_fresh == shards) return false;
+    job = {next_fresh++, now, kNoEndpoint, 0};
+    return true;
+  };
+
+  // Logs the attempt's failure, charges the endpoint's liveness score,
+  // and re-queues the range behind its backoff gate — or declares the
+  // budget exhausted.
+  const auto record_failure = [&](std::size_t shard, std::size_t endpoint_index,
+                                  Clock::time_point started, long long backoff_ms,
+                                  const std::string& cause) {
+    ShardDiagnostics& diag = diagnostics_[shard];
+    Endpoint& endpoint = endpoints[endpoint_index];
     diag.attempt_log.push_back({diag.attempts - 1, endpoint.transport->endpoint(), cause,
-                                elapsed_ms_since(attempt.started), attempt.backoff_ms});
+                                elapsed_ms_since(started), backoff_ms});
     if (++endpoint.consecutive_failures >= kEndpointFailureThreshold) endpoint.dead = true;
     if (diag.attempts < max_attempts) {
-      const auto backoff = retry.delay(attempt.shard, diag.attempts);
-      pending.push_back(
-          {attempt.shard, Clock::now() + backoff, attempt.endpoint, backoff.count()});
+      const auto backoff = retry.delay(shard, diag.attempts);
+      retries.push_back({shard, Clock::now() + backoff, endpoint_index, backoff.count()});
     } else {
       exhausted = true;
     }
   };
 
-  // Validates and applies one decoded frame from a live attempt; returns
-  // a failure description, or empty when the frame was in contract.
-  const auto apply_frame = [&](LiveAttempt& attempt, const Frame& frame) -> std::string {
-    const std::size_t s = attempt.shard;
+  // The request for the next attempt of `job`'s range; counts the attempt.
+  const auto request_for = [&](const Job& job) {
+    ShardDiagnostics& diag = diagnostics_[job.shard];
+    ++diag.attempts;
+    ShardRequestFrame request;
+    request.shard = job.shard;
+    request.begin = ranges[job.shard].begin;
+    request.end = ranges[job.shard].end;
+    request.total = total;
+    request.attempt = diag.attempts - 1;
+    request.threads = options_.threads;
+    request.cache_cap = options_.cache_max_entries;
+    request.heartbeat_ms = static_cast<std::uint32_t>(heartbeat_ms);
+    request.liveness_timeout_ms = liveness_timeout_ms;
+    request.spec_text = spec_text;
+    return request;
+  };
+
+  // Puts `job`'s range in flight on `lane` (its request already shipped).
+  const auto begin_range = [&](Lane& lane, const Job& job, Clock::time_point started) {
+    lane.shard = job.shard;
+    lane.next_index = ranges[job.shard].begin;
+    lane.hello_seen = false;
+    lane.done_seen = false;
+    lane.started = started;
+    lane.backoff_ms = job.backoff_ms;
+    lane.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms_);
+  };
+
+  // Opens a fresh session for `job` on `endpoint`; a failed start is
+  // charged like any other failed attempt.
+  const auto start_session = [&](const Job& job, std::size_t endpoint) {
+    const ShardRequestFrame request = request_for(job);
+    const Clock::time_point started = Clock::now();
+    ShardStart start = endpoints[endpoint].transport->start(request, started + kStartTimeout);
+    if (start.channel == nullptr) {
+      record_failure(job.shard, endpoint, started, job.backoff_ms, start.error);
+      return;
+    }
+    Lane lane;
+    lane.endpoint = endpoint;
+    lane.channel = std::move(start.channel);
+    begin_range(lane, job, started);
+    lanes.push_back(std::move(lane));
+  };
+
+  // Completes the lane's range, then ships the next dispatchable range
+  // on the same session, or closes it when there is none.  Returns
+  // false when the session is over (closed, or its next request failed
+  // to ship).
+  const auto finish_range = [&](Lane& lane, Clock::time_point now) {
+    ShardDiagnostics& diag = diagnostics_[lane.shard];
+    diag.completed = true;
+    diag.attempt_log.push_back({diag.attempts - 1, endpoints[lane.endpoint].transport->endpoint(),
+                                "ok", elapsed_ms_since(lane.started), lane.backoff_ms});
+    Endpoint& endpoint = endpoints[lane.endpoint];
+    endpoint.consecutive_failures = 0;
+    endpoint.dead = false;  // a completing endpoint is alive, whatever we presumed
+    ++completed;
+    Job job;
+    if (exhausted || !take_job(now, job)) {
+      lane.channel->complete();
+      return false;
+    }
+    const ShardRequestFrame request = request_for(job);
+    const Clock::time_point started = Clock::now();
+    const std::string error = lane.channel->send_request(request, started + kStartTimeout);
+    if (!error.empty()) {
+      record_failure(job.shard, lane.endpoint, started, job.backoff_ms,
+                     error + " (" + lane.channel->abort() + ")");
+      return false;
+    }
+    begin_range(lane, job, started);
+    return true;
+  };
+
+  // Validates and applies one decoded frame from a lane; returns a
+  // failure description, or empty when the frame was in contract.
+  const auto apply_frame = [&](Lane& lane, const Frame& frame) -> std::string {
+    const std::size_t s = lane.shard;
     const ShardRange& range = ranges[s];
     if (frame.type == FrameType::kHeartbeat) {
       // Liveness only — the read already pushed the watchdog deadline.
@@ -193,7 +304,7 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
       return "worker refused shard: " + frame.error.message;
     }
     if (frame.type == FrameType::kHello) {
-      if (attempt.hello_seen) return "duplicate hello frame";
+      if (lane.hello_seen) return "duplicate hello frame";
       const HelloFrame& hello = frame.hello;
       if (hello.version != kShardProtocolVersion) {
         return "protocol version mismatch (worker " + std::to_string(hello.version) +
@@ -202,33 +313,32 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
       if (hello.shard != s || hello.begin != range.begin || hello.end != range.end) {
         return "hello frame names the wrong shard";
       }
-      attempt.hello_seen = true;
+      lane.hello_seen = true;
       return {};
     }
-    if (!attempt.hello_seen) return "frame before hello";
-    if (attempt.done_seen) return "frame after shard-done";
+    if (!lane.hello_seen) return "frame before hello";
     if (frame.type == FrameType::kRecord) {
       const RecordFrame& record = frame.record;
-      if (record.global_index != attempt.next_index || record.global_index >= range.end) {
+      if (record.global_index != lane.next_index || record.global_index >= range.end) {
         return "out-of-order record (got run #" + std::to_string(record.global_index) +
-               ", expected #" + std::to_string(attempt.next_index) + ")";
+               ", expected #" + std::to_string(lane.next_index) + ")";
       }
       if (record.record.spec != runs[record.global_index]) {
         return "record #" + std::to_string(record.global_index) +
                " carries a spec that differs from the parent's expansion";
       }
       report.records[record.global_index] = record.record;
-      ++attempt.next_index;
+      ++lane.next_index;
       return {};
     }
     // Shard done: every run must be accounted for, exactly once.
-    if (attempt.next_index != range.end || frame.done.records_emitted != range.size()) {
+    if (lane.next_index != range.end || frame.done.records_emitted != range.size()) {
       return "shard-done before all records arrived (" +
-             std::to_string(attempt.next_index - range.begin) + "/" +
+             std::to_string(lane.next_index - range.begin) + "/" +
              std::to_string(range.size()) + ")";
     }
-    attempt.done_seen = true;
-    // A valid shard-done completes the shard, so each shard's worker
+    lane.done_seen = true;
+    // A valid shard-done completes the range, so each range's worker
     // cache counters are summed exactly once.
     report.cache.entries += frame.done.cache.entries;
     report.cache.hits += frame.done.cache.hits;
@@ -240,82 +350,30 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
   while (!exhausted && !nowhere_to_run && completed < shards) {
     const bool all_dead =
         std::all_of(endpoints.begin(), endpoints.end(), [](const Endpoint& e) { return e.dead; });
-    if (all_dead && live.empty() && !pending.empty()) {
+    if (all_dead && lanes.empty() && (!retries.empty() || next_fresh < shards)) {
       nowhere_to_run = true;
       break;
     }
 
-    // Dispatch every pending shard whose backoff gate has passed onto a
-    // live endpoint with a free lane, preferring an endpoint other than
-    // the one that just failed it (reassignment on host death).
+    // Open sessions on free lanes (the poll below frees busy ones):
+    // retries whose gate has passed first, each preferring an endpoint
+    // other than the one that failed it, then fresh ranges.
     const Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < pending.size() && !exhausted;) {
-      if (pending[i].not_before > now) {
-        ++i;
-        continue;
-      }
-      std::size_t chosen = kNoEndpoint;
-      std::size_t second_choice = kNoEndpoint;
-      for (std::size_t e = 0; e < endpoints.size(); ++e) {
-        if (endpoints[e].dead) continue;
-        if (busy_on(e) >= endpoints[e].transport->capacity()) continue;
-        if (e == pending[i].avoid_endpoint) {
-          second_choice = e;
-          continue;
-        }
-        chosen = e;
-        break;
-      }
-      if (chosen == kNoEndpoint) chosen = second_choice;
-      if (chosen == kNoEndpoint) {
-        ++i;  // no free lane right now; poll below frees one
-        continue;
-      }
-      const PendingShard job = pending[i];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-
-      ShardDiagnostics& diag = diagnostics_[job.shard];
-      ++diag.attempts;
-      ShardRequestFrame request;
-      request.shard = job.shard;
-      request.begin = ranges[job.shard].begin;
-      request.end = ranges[job.shard].end;
-      request.total = total;
-      request.attempt = diag.attempts - 1;
-      request.threads = options_.threads;
-      request.cache_cap = options_.cache_max_entries;
-      request.heartbeat_ms = static_cast<std::uint32_t>(heartbeat_ms);
-      request.liveness_timeout_ms = liveness_timeout_ms;
-      request.spec_text = spec_text;
-
-      LiveAttempt attempt;
-      attempt.shard = job.shard;
-      attempt.endpoint = chosen;
-      attempt.started = Clock::now();
-      attempt.backoff_ms = job.backoff_ms;
-      ShardStart started =
-          endpoints[chosen].transport->start(request, attempt.started + kStartTimeout);
-      if (started.channel == nullptr) {
-        record_failure(attempt, started.error);
-        continue;  // re-scan from the same index (erase shifted the rest)
-      }
-      attempt.channel = std::move(started.channel);
-      attempt.next_index = ranges[job.shard].begin;
-      attempt.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms_);
-      live.push_back(std::move(attempt));
+    for (Job job; !exhausted && free_endpoint(kNoEndpoint) != kNoEndpoint && take_job(now, job);) {
+      start_session(job, free_endpoint(job.avoid_endpoint));
     }
     if (exhausted || completed == shards) break;
 
-    // Multiplex all live attempts; wake at the earliest of any watchdog
+    // Multiplex all lanes; wake at the earliest of any watchdog
     // deadline, backoff gate, or the next coordinator beacon.
     std::vector<struct pollfd> fds;
-    fds.reserve(live.size());
+    fds.reserve(lanes.size());
     Clock::time_point earliest = next_heartbeat;
-    for (const LiveAttempt& attempt : live) {
-      fds.push_back({attempt.channel->poll_fd(), POLLIN, 0});
-      earliest = std::min(earliest, attempt.deadline);
+    for (const Lane& lane : lanes) {
+      fds.push_back({lane.channel->poll_fd(), POLLIN, 0});
+      earliest = std::min(earliest, lane.deadline);
     }
-    for (const PendingShard& job : pending) {
+    for (const Job& job : retries) {
       // A job past due when dispatch looked at it is waiting for a lane,
       // not the clock; lanes free via fd events or deadlines, so its gate
       // must not clamp this wait to a busy spin.  A gate that passed
@@ -333,27 +391,24 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
     const bool send_beacons = after_poll >= next_heartbeat;
     if (send_beacons) next_heartbeat = after_poll + std::chrono::milliseconds(heartbeat_ms);
 
-    for (std::size_t i = 0; i < live.size();) {
-      LiveAttempt& attempt = live[i];
+    for (std::size_t i = 0; i < lanes.size();) {
+      Lane& lane = lanes[i];
       std::string failure;
-      bool shard_complete = false;
+      bool open = true;
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        // Drain the channel and the parser until would-block, EOF, or an
-        // error.
-        while (failure.empty() && !shard_complete) {
+        // Drain the channel and the parser until would-block, EOF, an
+        // error, or the session's end.
+        while (failure.empty() && open) {
           std::uint8_t buffer[65536];
-          const ChannelRead read = attempt.channel->read_some(buffer, sizeof(buffer));
+          const ChannelRead read = lane.channel->read_some(buffer, sizeof(buffer));
           if (read.kind == ChannelRead::Kind::kData) {
-            attempt.deadline = after_poll + std::chrono::milliseconds(timeout_ms_);
-            attempt.parser.feed(buffer, read.bytes);
+            lane.deadline = after_poll + std::chrono::milliseconds(timeout_ms_);
+            lane.parser.feed(buffer, read.bytes);
             try {
-              while (auto frame = attempt.parser.next()) {
-                failure = apply_frame(attempt, *frame);
+              while (auto frame = lane.parser.next()) {
+                failure = apply_frame(lane, *frame);
                 if (!failure.empty()) break;
-                if (attempt.done_seen) {
-                  shard_complete = true;
-                  break;
-                }
+                if (lane.done_seen && !(open = finish_range(lane, after_poll))) break;
               }
             } catch (const ShardProtocolError& error) {
               failure = error.what();
@@ -361,9 +416,8 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
             continue;
           }
           if (read.kind == ChannelRead::Kind::kEof) {
-            failure = attempt.parser.mid_frame()
-                          ? "stream truncated mid-frame"
-                          : "worker exited before completing its shard";
+            failure = lane.parser.mid_frame() ? "stream truncated mid-frame"
+                                              : "worker exited before completing its shard";
             break;
           }
           if (read.kind == ChannelRead::Kind::kError) {
@@ -373,35 +427,25 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
           break;  // would block; nothing buffered
         }
       }
-      if (shard_complete) {
-        attempt.channel->complete();
-        diagnostics_[attempt.shard].completed = true;
-        diagnostics_[attempt.shard].attempt_log.push_back(
-            {diagnostics_[attempt.shard].attempts - 1,
-             endpoints[attempt.endpoint].transport->endpoint(), "ok",
-             elapsed_ms_since(attempt.started), attempt.backoff_ms});
-        Endpoint& endpoint = endpoints[attempt.endpoint];
-        endpoint.consecutive_failures = 0;
-        endpoint.dead = false;  // a completing endpoint is alive, whatever we presumed
-        ++completed;
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-        fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      if (failure.empty() && after_poll >= attempt.deadline) {
+      if (open && failure.empty() && after_poll >= lane.deadline) {
         failure = "stalled: no frame within " + std::to_string(timeout_ms_) + " ms";
       }
-      if (failure.empty() && send_beacons) {
-        const std::string beacon_error = attempt.channel->send_heartbeat(heartbeat_sequence++);
+      if (open && failure.empty() && send_beacons) {
+        const std::string beacon_error = lane.channel->send_heartbeat(heartbeat_sequence++);
         if (!beacon_error.empty()) failure = beacon_error;
       }
-      if (!failure.empty()) {
-        const std::string status = attempt.channel->abort();
-        // Invalidate the attempt's partial merge: the retry re-emits the
-        // shard from its beginning (records are pure functions of their
-        // spec, so completed slots are simply overwritten identically).
-        record_failure(attempt, failure + " (" + status + ")");
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      if (open && !failure.empty()) {
+        const std::string status = lane.channel->abort();
+        // The retry re-emits the range from its beginning (records are
+        // pure functions of their spec, so completed slots are simply
+        // overwritten identically); ranges this session completed keep
+        // their records.
+        record_failure(lane.shard, lane.endpoint, lane.started, lane.backoff_ms,
+                       failure + " (" + status + ")");
+        open = false;
+      }
+      if (!open) {
+        lanes.erase(lanes.begin() + static_cast<std::ptrdiff_t>(i));
         fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
@@ -410,7 +454,7 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
   }
 
   if (exhausted || nowhere_to_run) {
-    for (LiveAttempt& attempt : live) attempt.channel->abort();
+    for (Lane& lane : lanes) lane.channel->abort();
     std::string message =
         nowhere_to_run
             ? label_ + " failed: every endpoint is dead with shards outstanding"
@@ -426,6 +470,7 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
     }
     throw std::runtime_error(message);
   }
+  for (Lane& lane : lanes) lane.channel->complete();
 
   return report;
 }

@@ -20,16 +20,20 @@
 ///     u32 magic ("LRSH")  |  u8 type  |  u32 payload_len  |
 ///     payload_len bytes   |  u64 fnv1a(type || payload)
 ///
-/// Worker -> coordinator, per shard attempt: one kHello (handshake:
-/// protocol version, shard index, run range, attempt), then one kRecord
-/// per run of the shard in ascending global run-index order — with
-/// kHeartbeat frames interleaved at any point after the hello — then one
-/// kShardDone (record count + the worker's cache counters).  A worker
-/// that cannot even start the shard (bad spec, version skew) may answer
-/// with a single kShardError instead of a hello.  Coordinator -> worker:
-/// one kShardRequest opening the attempt, then kHeartbeat frames proving
-/// the coordinator is still alive.
-///
+/// A session carries successive ranges.  Per range, worker ->
+/// coordinator: one kHello (handshake: protocol version, shard index,
+/// run range, attempt), then one kRecord per run of the range in
+/// ascending global run-index order — with kHeartbeat frames
+/// interleaved at any point after the hello — then one kShardDone
+/// (record count + the worker's cache counters for that range).  A
+/// worker that cannot start a range (bad spec, version skew, a range of
+/// more than kRangeRuns runs) answers with a single kShardError instead
+/// of a hello and ends the session.  Coordinator -> worker: one
+/// kShardRequest per range, the next one only after the previous
+/// range's kShardDone, with kHeartbeat frames proving the coordinator
+/// is still alive while a range is in flight; closing the connection
+/// between ranges ends the session cleanly.
+
 /// Everything else — wrong magic, a payload over kMaxFramePayload, a
 /// checksum mismatch, an unknown enum value inside a record, trailing
 /// payload bytes, EOF mid-frame — is a protocol error the coordinator
@@ -39,9 +43,9 @@
 /// for the v3 frames too).
 ///
 /// Version skew is rejected loudly in both directions and can never
-/// hang: a v3 coordinator rejects a v2 hello by its version field, and a
-/// v2 worker's parser rejects a kShardRequest as an unknown frame type,
-/// which closes the connection and surfaces as a failed attempt.
+/// hang: each end compares the version field of the other's first frame
+/// (kShardRequest, kHello) with its own and refuses a mismatch by
+/// number.
 ///
 /// The parser is deliberately incremental (feed() bytes as the socket
 /// yields them, next() yields complete frames) so the coordinator can
@@ -69,8 +73,16 @@ inline constexpr std::uint32_t kFrameMagic = 0x4853524cu;
 /// hosts — a situation to reject loudly, never to paper over).
 /// Version 3 added the heartbeat / shard-request / shard-error frames of
 /// the multi-host TCP dataplane.  Version 4 dropped the execution-path
-/// byte from the record frame.
-inline constexpr std::uint32_t kShardProtocolVersion = 4;
+/// byte from the record frame.  Version 5 made a session serve
+/// successive ranges of at most kRangeRuns runs until the coordinator
+/// closes it (a v4 worker served one range and exited).
+inline constexpr std::uint32_t kShardProtocolVersion = 5;
+
+/// Most runs one kShardRequest may assign.  The coordinator cuts a
+/// sweep into ranges of at most this many runs (more ranges than lanes
+/// once the sweep is large, so lanes that finish early pull more work),
+/// and a session runs each range in one batch and refuses a larger one.
+inline constexpr std::uint64_t kRangeRuns = 16;
 
 /// Upper bound on a frame payload.  Records are a few hundred bytes;
 /// anything near this limit is garbage (e.g. random bytes read as a
@@ -116,9 +128,10 @@ struct HeartbeatFrame {
   std::uint64_t sequence = 0;         ///< per-connection beacon counter
 };
 
-/// Shard assignment, coordinator -> worker (v3).  Opens every session:
-/// everything a `shard-server` needs to execute global runs [begin, end)
-/// of the sweep `spec_text` expands to.
+/// Range assignment, coordinator -> worker (v3).  Opens every range of
+/// a session: everything a `shard-server` needs to execute global runs
+/// [begin, end) of the sweep `spec_text` expands to, end - begin <=
+/// kRangeRuns.
 struct ShardRequestFrame {
   std::uint32_t version = kShardProtocolVersion;  ///< must equal the worker's
   std::uint64_t shard = 0;        ///< shard index being assigned

@@ -11,9 +11,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -120,61 +123,169 @@ WorkerFault armed_worker_fault(std::uint64_t shard, std::uint64_t attempt) {
   ::_exit(3);
 }
 
-/// Phase 1 + 2 of a session: receives the kShardRequest within
-/// `timeout_ms` and validates it against its own spec.  Returns the
-/// refusal, or empty with `request` and `runs` filled.  `parser` keeps
-/// any bytes that followed the request (a coordinator beacon straddling
-/// the read).
-std::string receive_request(ShardSession& session, FrameParser& parser, int timeout_ms,
-                            ShardRequestFrame& request, std::vector<RunSpec>& runs) {
-  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::optional<Frame> frame;
-  while (!frame) {
-    if (session.cancelled.load()) return "session cancelled";
-    const auto remaining_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
-    if (remaining_ms <= 0) return "no shard request within " + std::to_string(timeout_ms) + " ms";
-    struct pollfd pfd {
-      session.fd, POLLIN, 0
-    };
-    if (::poll(&pfd, 1, static_cast<int>(std::min<long long>(remaining_ms, 200))) <= 0) continue;
-    std::uint8_t buffer[65536];
-    const ssize_t n = ::recv(session.fd, buffer, sizeof(buffer), 0);
-    if (n == 0) return "coordinator closed before sending a shard request";
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return std::string("recv: ") + std::strerror(errno);
-    }
-    try {
-      parser.feed(buffer, static_cast<std::size_t>(n));
-      frame = parser.next();
-    } catch (const ShardProtocolError& error) {
-      return std::string("malformed request stream: ") + error.what();
-    }
-  }
-  if (frame->type != FrameType::kShardRequest) return "first frame must be a shard request";
-  request = std::move(frame->request);
+/// What a session's reader thread shares with its serving loop.
+struct SessionState {
+  std::mutex mutex;  ///< guards request, busy, closed and orderly
+  std::condition_variable changed;
+  std::optional<ShardRequestFrame> request;  ///< the next range, not yet taken
+  bool busy = false;     ///< a range is taken and its shard-done not yet sent
+  bool closed = false;   ///< the reader has stopped: EOF, error, or violation
+  bool orderly = false;  ///< it stopped at an EOF between frames
+  std::atomic<bool> in_flight{false};  ///< beacons and the liveness watchdog run
+  std::atomic<long long> last_heard_ms{now_ms()};
+  std::atomic<int> heartbeat_ms{1};
+  std::atomic<int> liveness_ms{1};
+};
+
+/// Validates `request` against the sweep it names, expanding the spec
+/// only when its text differs from the last accepted one (`spec_text`,
+/// `runs`).  Returns the refusal, or empty when the range can run.
+std::string validate_request(const ShardRequestFrame& request, std::string& spec_text,
+                             std::vector<RunSpec>& runs) {
   if (request.version != kShardProtocolVersion) {
     return "protocol version mismatch (coordinator " + std::to_string(request.version) +
            ", worker " + std::to_string(kShardProtocolVersion) + ")";
   }
-  try {
-    // Count before expanding, so a request claiming a tiny sweep cannot
-    // make the worker materialize a huge one.
-    const SweepSpec spec = SweepSpec::parse_string(request.spec_text);
-    if (spec.run_count() != request.total) {
-      return "spec expands to " + std::to_string(spec.run_count()) +
-             " runs but coordinator expected " + std::to_string(request.total);
+  if (request.spec_text != spec_text || runs.empty()) {
+    spec_text.clear();
+    runs.clear();
+    try {
+      // Count before expanding, so a request claiming a tiny sweep cannot
+      // make the worker materialize a huge one.
+      const SweepSpec spec = SweepSpec::parse_string(request.spec_text);
+      if (spec.run_count() != request.total) {
+        return "spec expands to " + std::to_string(spec.run_count()) +
+               " runs but coordinator expected " + std::to_string(request.total);
+      }
+      runs = spec.expand();
+    } catch (const std::exception& error) {
+      return std::string("cannot parse sweep spec: ") + error.what();
     }
-    runs = spec.expand();
-  } catch (const std::exception& error) {
-    return std::string("cannot parse sweep spec: ") + error.what();
+    spec_text = request.spec_text;
+  } else if (runs.size() != request.total) {
+    return "spec expands to " + std::to_string(runs.size()) + " runs but coordinator expected " +
+           std::to_string(request.total);
   }
+  const std::string range =
+      "shard range [" + std::to_string(request.begin) + ", " + std::to_string(request.end) + ")";
   if (request.begin > request.end || request.end > runs.size()) {
-    return "shard range [" + std::to_string(request.begin) + ", " + std::to_string(request.end) +
-           ") exceeds the sweep's " + std::to_string(runs.size()) + " runs";
+    return range + " exceeds the sweep's " + std::to_string(runs.size()) + " runs";
+  }
+  if (request.end - request.begin > kRangeRuns) {
+    return range + " holds " + std::to_string(request.end - request.begin) +
+           " runs, more than kRangeRuns (" + std::to_string(kRangeRuns) + ")";
   }
   return {};
+}
+
+/// A session's reader thread, which owns the read side for the whole
+/// session.  It queues each kShardRequest for serve_shard_session's
+/// serving loop; while a range is in flight, coordinator beacons reset
+/// the liveness deadline, silence past it cancels the session, and it
+/// sends this worker's own beacons, so a long range never reads as a
+/// dead worker.  Any out-of-contract frame
+/// — garbage, a request before the previous range's shard-done, a
+/// non-request first frame — is refused with a kShardError and ends the
+/// session; EOF between ranges ends it cleanly.
+void read_coordinator(ShardSession& session, SessionState& state) {
+  FrameParser parser;
+  bool requested = false;  // a request has arrived
+  std::uint64_t beacon_sequence = 0;
+  Clock::time_point next_beacon = Clock::now();
+  std::string violation;
+  bool orderly = false;
+  while (!session.done.load() && !session.cancelled.load()) {
+    const Clock::time_point now = Clock::now();
+    int wait_ms = 100;
+    if (state.in_flight.load()) {
+      if (now_ms() - state.last_heard_ms.load() > state.liveness_ms.load()) {
+        session.cancel();  // coordinator presumed dead or partitioned
+        break;
+      }
+      if (now >= next_beacon) {
+        const std::lock_guard<std::mutex> lock(session.write_mutex);
+        if (state.in_flight.load()) {
+          HeartbeatFrame beacon;
+          beacon.from_coordinator = 0;
+          beacon.sequence = beacon_sequence++;
+          const std::vector<std::uint8_t> bytes = encode_frame(beacon);
+          if (!write_all(session.fd, bytes.data(), bytes.size())) {
+            session.cancel();
+            break;
+          }
+        }
+        next_beacon = now + std::chrono::milliseconds(state.heartbeat_ms.load());
+      }
+      wait_ms = static_cast<int>(std::clamp<long long>(
+          std::chrono::duration_cast<std::chrono::milliseconds>(next_beacon - now).count(), 1,
+          100));
+    } else {
+      next_beacon = now + std::chrono::milliseconds(state.heartbeat_ms.load());
+    }
+    struct pollfd pfd {
+      session.fd, POLLIN, 0
+    };
+    if (::poll(&pfd, 1, wait_ms) <= 0) continue;
+    std::uint8_t buffer[65536];
+    const ssize_t n = ::recv(session.fd, buffer, sizeof(buffer), MSG_DONTWAIT);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+    if (n <= 0) {
+      if (state.in_flight.load() || n < 0) {
+        session.cancel();  // coordinator went away mid-range
+      } else if (parser.mid_frame()) {
+        violation = "coordinator closed mid-frame";
+      } else {
+        orderly = true;
+      }
+      break;
+    }
+    // Decode the whole read first and judge it under one lock, so a
+    // request that arrived with its predecessor is refused however fast
+    // the serving loop takes the first one.
+    std::vector<Frame> frames;
+    std::string malformed;
+    try {
+      parser.feed(buffer, static_cast<std::size_t>(n));
+      while (auto frame = parser.next()) frames.push_back(std::move(*frame));
+    } catch (const ShardProtocolError& error) {
+      malformed = std::string("malformed request stream: ") + error.what();
+    }
+    {
+      const std::lock_guard<std::mutex> lock(state.mutex);
+      for (Frame& frame : frames) {
+        if (frame.type == FrameType::kShardRequest) {
+          if (state.busy || state.request) {
+            violation = "shard request before the previous range's shard-done";
+            break;
+          }
+          state.request = std::move(frame.request);
+          requested = true;
+          state.last_heard_ms.store(now_ms());
+          state.changed.notify_all();
+        } else if (!requested) {
+          violation = "first frame must be a shard request";
+          break;
+        } else if (frame.type == FrameType::kHeartbeat && frame.heartbeat.from_coordinator == 1) {
+          state.last_heard_ms.store(now_ms());
+        } else {
+          violation = "unexpected frame from the coordinator";
+          break;
+        }
+      }
+    }
+    if (violation.empty()) violation = malformed;
+    if (!violation.empty()) break;
+  }
+  if (!violation.empty() && !session.cancelled.load()) {
+    ShardErrorFrame error;
+    error.message = violation;
+    session.send_bytes(encode_frame(error));
+    session.cancel();
+  }
+  const std::lock_guard<std::mutex> lock(state.mutex);
+  state.closed = true;
+  state.orderly = orderly;
+  state.changed.notify_all();
 }
 
 }  // namespace
@@ -192,146 +303,108 @@ bool ShardSession::send_bytes(const std::vector<std::uint8_t>& bytes) {
 }
 
 bool serve_shard_session(ShardSession& session, const ShardSessionOptions& options) {
-  FrameParser parser;
-  ShardRequestFrame request;
+  SessionState state;
+  std::thread reader([&] { read_coordinator(session, state); });
+
+  // The serving loop: one range per request, each in one run_all over
+  // this session's runner and a fresh SweepCache, so each done frame
+  // carries that range's counters.  The spec is expanded once per
+  // distinct spec text.
+  std::string spec_text;
   std::vector<RunSpec> runs;
-  const std::string refusal =
-      receive_request(session, parser, options.request_timeout_ms, request, runs);
-  if (!refusal.empty()) {
-    if (!session.cancelled.load()) {
-      ShardErrorFrame error;
-      error.message = refusal;
-      session.send_bytes(encode_frame(error));
+  std::unique_ptr<ScenarioRunner> runner;
+  std::uint64_t runner_threads = 0;
+  std::uint64_t ranges_served = 0;
+  bool clean = false;
+  for (;;) {
+    ShardRequestFrame request;
+    std::string refusal;
+    {
+      std::unique_lock<std::mutex> lock(state.mutex);
+      const bool woke = state.changed.wait_for(
+          lock, std::chrono::milliseconds(options.request_timeout_ms),
+          [&] { return state.request.has_value() || state.closed; });
+      if (state.request) {
+        request = std::move(*state.request);
+        state.request.reset();
+        state.busy = true;
+      } else if (!woke) {
+        refusal = "no shard request within " + std::to_string(options.request_timeout_ms) + " ms";
+      } else if (state.orderly && ranges_served == 0) {
+        refusal = "coordinator closed before sending a shard request";
+      } else {
+        clean = state.orderly;  // EOF between ranges ends the session cleanly
+        break;
+      }
     }
-    session.done.store(true);
-    return false;
+    if (refusal.empty()) refusal = validate_request(request, spec_text, runs);
+    if (!refusal.empty()) {
+      if (!session.cancelled.load()) {
+        ShardErrorFrame error;
+        error.message = refusal;
+        session.send_bytes(encode_frame(error));
+      }
+      break;
+    }
+
+    state.heartbeat_ms.store(static_cast<int>(std::max<std::uint32_t>(request.heartbeat_ms, 1)));
+    state.liveness_ms.store(
+        static_cast<int>(std::max<std::uint32_t>(request.liveness_timeout_ms, 1)));
+    state.last_heard_ms.store(now_ms());
+    state.in_flight.store(true);
+    HelloFrame hello;
+    hello.shard = request.shard;
+    hello.begin = request.begin;
+    hello.end = request.end;
+    hello.attempt = request.attempt;
+    if (!session.send_bytes(encode_frame(hello))) break;
+    const WorkerFault fault = options.worker_faults
+                                  ? armed_worker_fault(request.shard, request.attempt)
+                                  : WorkerFault::kNone;
+
+    const auto threads = static_cast<std::size_t>(request.threads);
+    const auto cache_cap = static_cast<std::size_t>(request.cache_cap);
+    if (runner == nullptr || runner_threads != request.threads) {
+      runner = std::make_unique<ScenarioRunner>(
+          RunnerOptions{.threads = threads, .cache_max_entries = cache_cap});
+      runner_threads = request.threads;
+    }
+    SweepCache cache(cache_cap, options.snapshot_dir);
+    const std::vector<RunSpec> slice(runs.begin() + static_cast<std::ptrdiff_t>(request.begin),
+                                     runs.begin() + static_cast<std::ptrdiff_t>(request.end));
+    const std::vector<RunRecord> records = runner->run_all(slice, cache);
+    const std::size_t fault_at = records.size() / 2;  // mid-range
+    bool failed = session.cancelled.load();
+    for (std::size_t i = 0; i < records.size() && !failed; ++i) {
+      if (fault != WorkerFault::kNone && i == fault_at) trigger_fault(fault, session);
+      RecordFrame frame;
+      frame.global_index = request.begin + i;
+      frame.record = records[i];
+      failed = !session.send_bytes(encode_frame(frame));
+    }
+    if (failed || session.cancelled.load()) break;
+    {
+      const std::lock_guard<std::mutex> lock(state.mutex);
+      state.busy = false;
+    }
+    ShardDoneFrame done;
+    done.records_emitted = records.size();
+    done.cache = {cache.entries(), cache.hits(), cache.misses(), cache.evictions()};
+    const std::vector<std::uint8_t> bytes = encode_frame(done);
+    {
+      // No beacon may follow the done frame: the coordinator's next bytes
+      // on this session start the next range.
+      const std::lock_guard<std::mutex> lock(session.write_mutex);
+      state.in_flight.store(false);
+      if (!write_all(session.fd, bytes.data(), bytes.size())) break;
+    }
+    ++ranges_served;
   }
 
-  // ---- Phase 3: hello, then compute with a liveness watchdog. ---------
-  HelloFrame hello;
-  hello.shard = request.shard;
-  hello.begin = request.begin;
-  hello.end = request.end;
-  hello.attempt = request.attempt;
-  session.send_bytes(encode_frame(hello));
-  const WorkerFault fault = options.worker_faults
-                                ? armed_worker_fault(request.shard, request.attempt)
-                                : WorkerFault::kNone;
-
-  const int heartbeat_ms = static_cast<int>(std::max<std::uint32_t>(request.heartbeat_ms, 1));
-  const int liveness_ms =
-      static_cast<int>(std::max<std::uint32_t>(request.liveness_timeout_ms, 1));
-  std::atomic<long long> last_heard_ms{now_ms()};
-
-  // The watchdog owns the read side: coordinator beacons reset the
-  // liveness deadline; silence past it — or EOF, or a protocol error —
-  // cancels the session so the compute loop unwinds at its next chunk
-  // boundary or failed write.  It also sends this worker's own beacons,
-  // so a chunk that takes longer than the coordinator's watchdog does
-  // not read as a dead worker.
-  std::thread watchdog([&] {
-    std::uint64_t beacon_sequence = 0;
-    Clock::time_point next_beacon = Clock::now() + std::chrono::milliseconds(heartbeat_ms);
-    // Drains every buffered frame; returns false on anything but a
-    // coordinator beacon (only beacons are in contract mid-shard).
-    const auto drain_beacons = [&]() -> bool {
-      try {
-        while (auto frame = parser.next()) {
-          if (frame->type != FrameType::kHeartbeat || frame->heartbeat.from_coordinator != 1) {
-            return false;
-          }
-          last_heard_ms.store(now_ms());
-        }
-      } catch (const ShardProtocolError&) {
-        return false;
-      }
-      return true;
-    };
-    if (!drain_beacons()) {
-      session.cancel();
-      return;
-    }
-    while (!session.done.load() && !session.cancelled.load()) {
-      const Clock::time_point now = Clock::now();
-      if (now_ms() - last_heard_ms.load() > liveness_ms) {
-        session.cancel();  // coordinator presumed dead or partitioned
-        break;
-      }
-      if (now >= next_beacon) {
-        HeartbeatFrame beacon;
-        beacon.from_coordinator = 0;
-        beacon.sequence = beacon_sequence++;
-        if (!session.send_bytes(encode_frame(beacon))) break;
-        next_beacon = now + std::chrono::milliseconds(heartbeat_ms);
-      }
-      const auto until_beacon =
-          std::chrono::duration_cast<std::chrono::milliseconds>(next_beacon - now).count();
-      struct pollfd pfd {
-        session.fd, POLLIN, 0
-      };
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(std::clamp<long long>(until_beacon, 1, 100)));
-      if (ready <= 0) continue;
-      std::uint8_t buffer[4096];
-      const ssize_t n = ::recv(session.fd, buffer, sizeof(buffer), MSG_DONTWAIT);
-      if (n == 0) {
-        session.cancel();  // coordinator went away
-        break;
-      }
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        session.cancel();
-        break;
-      }
-      parser.feed(buffer, static_cast<std::size_t>(n));
-      if (!drain_beacons()) {
-        session.cancel();
-        break;
-      }
-    }
-  });
-
-  // Shared-nothing execution with this session's own runner and cache,
-  // in 16-run chunks so records flow long before the shard finishes.
-  constexpr std::size_t kChunk = 16;
-  bool completed = false;
-  {
-    const ScenarioRunner runner({.threads = static_cast<std::size_t>(request.threads),
-                                 .cache_max_entries = static_cast<std::size_t>(request.cache_cap)});
-    SweepCache cache(static_cast<std::size_t>(request.cache_cap), options.snapshot_dir);
-    const std::size_t fault_at = (request.end - request.begin) / 2;  // mid-shard
-    std::size_t emitted = 0;
-    bool failed = false;
-    for (std::uint64_t offset = request.begin; offset < request.end && !failed;
-         offset += kChunk) {
-      if (session.cancelled.load()) {
-        failed = true;
-        break;
-      }
-      const std::uint64_t stop = std::min<std::uint64_t>(offset + kChunk, request.end);
-      const std::vector<RunSpec> slice(runs.begin() + static_cast<std::ptrdiff_t>(offset),
-                                       runs.begin() + static_cast<std::ptrdiff_t>(stop));
-      const std::vector<RunRecord> records = runner.run_all(slice, cache);
-      for (std::size_t i = 0; i < records.size() && !failed; ++i) {
-        if (fault != WorkerFault::kNone && emitted == fault_at) trigger_fault(fault, session);
-        RecordFrame frame;
-        frame.global_index = offset + i;
-        frame.record = records[i];
-        if (!session.send_bytes(encode_frame(frame))) failed = true;
-        ++emitted;
-      }
-    }
-    if (!failed && !session.cancelled.load()) {
-      ShardDoneFrame done;
-      done.records_emitted = emitted;
-      done.cache = {cache.entries(), cache.hits(), cache.misses(), cache.evictions()};
-      completed = session.send_bytes(encode_frame(done));
-    }
-  }
-
-  session.done.store(true);  // stops the watchdog
-  watchdog.join();
-  return completed;
+  if (!clean) session.cancel();  // wakes the reader
+  session.done.store(true);
+  reader.join();
+  return clean;
 }
 
 // ---------------------------------------------------------------------------
@@ -466,15 +539,16 @@ int server_argv_error(const std::string& why) {
                "error: %s\n"
                "usage: lr_cli shard-server --listen <port> [--bind <address>]\n"
                "       lr_cli shard-server --stdio [--snapshot-dir DIR]\n"
-               "--listen serves sweep shards to remote `lr_cli sweep --hosts` coordinators\n"
-               "over the v3 shard protocol; binds 127.0.0.1 unless --bind says otherwise.\n"
-               "--stdio serves one shard over the socket on fd 0; `lr_cli sweep --processes N`\n"
-               "spawns its workers this way.\n",
-               why.c_str());
+               "--listen serves sweep ranges to remote `lr_cli sweep --hosts` coordinators\n"
+               "over the v%u shard protocol; binds 127.0.0.1 unless --bind says otherwise.\n"
+               "--stdio serves successive ranges over the socket on fd 0 until EOF;\n"
+               "`lr_cli sweep --processes N` spawns its workers this way.\n",
+               why.c_str(), static_cast<unsigned>(kShardProtocolVersion));
   return 2;
 }
 
-/// `--stdio`: one session on the socket at fd 0, then exit.
+/// `--stdio`: one session on the socket at fd 0, then exit (0 when the
+/// coordinator ended it cleanly between ranges).
 int serve_stdio(const std::string& snapshot_dir) {
   int type = 0;
   socklen_t length = sizeof(type);

@@ -17,24 +17,28 @@
 /// --processes`).  Both run serve_shard_session(); only the way the
 /// socket reaches it differs.
 ///
-/// Session contract, per connection: the coordinator opens with one
-/// kShardRequest; the session validates it (protocol version, parseable
-/// spec, run-count and range cross-checks) and either answers with a
-/// single loud kShardError and closes, or replies kHello and executes
-/// the shard in chunks, interleaving kHeartbeat beacons so a
-/// long-running chunk never looks like a dead worker.  A per-session
-/// watchdog reads the coordinator's own beacons; a coordinator silent
-/// past the request's liveness timeout — or a closed connection — makes
-/// the session abandon the shard, so an orphaned worker never computes
-/// for a dead coordinator.  Every wait is deadline-bounded: no peer
-/// behavior can hang a session.
+/// Session contract, per connection: the coordinator sends one
+/// kShardRequest per range, the next only after the previous range's
+/// kShardDone, and closes the connection when it has no more work.  The
+/// session validates each request (protocol version, parseable spec,
+/// run-count and range cross-checks, at most kRangeRuns runs) and
+/// either answers with a single loud kShardError and ends, or replies
+/// kHello, runs the range in one batch, streams its records and a
+/// kShardDone, interleaving kHeartbeat beacons so a long range never
+/// looks like a dead worker.  The spec is expanded once per distinct
+/// spec text.  A per-session reader checks the coordinator's own
+/// beacons; a coordinator silent past the request's liveness timeout —
+/// or a closed connection mid-range — makes the session abandon the
+/// range, so an orphaned worker never computes for a dead coordinator.
+/// Every wait is deadline-bounded: no peer behavior can hang a session.
 ///
 /// Fault injection (test hook, `--stdio` children only): the
 /// LR_TEST_WORKER_FAULT environment variable — `exit:<shard>`,
 /// `segv:<shard>`, `truncate:<shard>`, `stall:<shard>`, each with an
 /// optional `:<attempts>` suffix (default 1), parsed by
 /// parse_fault_hook (runner/shard_transport.hpp) — makes the child
-/// inject that fault mid-shard on its first `<attempts>` attempts, which
+/// inject that fault mid-range on the first `<attempts>` attempts of
+/// range `<shard>`, whichever session they reach, which
 /// is how tests/process_runner_test.cpp drives the retry-then-success
 /// and bounded-retry-then-loud-failure batteries.  A malformed value
 /// makes the child exit 2 naming it.
@@ -65,8 +69,9 @@ struct ShardSession {
 /// Knobs of one shard session that are local to the worker, not part of
 /// the coordinator's request.
 struct ShardSessionOptions {
-  /// Budget for the coordinator to deliver its kShardRequest; past it
-  /// the session refuses with a kShardError and ends.
+  /// Budget for the coordinator to deliver each kShardRequest (or to
+  /// close the session between ranges); past it the session refuses
+  /// with a kShardError and ends.
   int request_timeout_ms = 10'000;
 
   /// Snapshot directory of the session's SweepCache (empty = none).
@@ -76,11 +81,12 @@ struct ShardSessionOptions {
   bool worker_faults = false;
 };
 
-/// Serves one shard session on `session.fd`: request deadline,
-/// validation with kShardError refusals, hello, two-way heartbeats with
-/// the coordinator watchdog, chunked execution, shard-done.  Sets
-/// `session.done` last.  Returns true when the shard-done frame was
-/// sent.
+/// Serves one session of successive ranges on `session.fd` until the
+/// coordinator closes it: per range, request deadline, validation with
+/// kShardError refusals, hello, two-way heartbeats with the coordinator
+/// watchdog, one batch of at most kRangeRuns runs, shard-done.  Sets
+/// `session.done` last.  Returns true when the session ended cleanly:
+/// EOF between ranges after at least one completed range.
 bool serve_shard_session(ShardSession& session, const ShardSessionOptions& options);
 
 /// Configuration of a ShardServer.
@@ -124,8 +130,8 @@ class ShardServer {
   /// Idempotent.
   void stop();
 
-  /// Sessions that ran their shard to completion (served the shard-done
-  /// frame) since construction.
+  /// Sessions that ended cleanly (at least one range served, then an
+  /// orderly close by the coordinator) since construction.
   std::uint64_t sessions_completed() const noexcept { return sessions_completed_.load(); }
 
   /// Sessions that ended any other way: refused requests, protocol
@@ -156,9 +162,10 @@ class ShardServer {
 ///     ready signal deployment scripts wait for) and serves until SIGINT
 ///     or SIGTERM;
 ///   - `shard-server --stdio [--snapshot-dir D]`: serves exactly one
-///     session on fd 0, which must be a connected socket (the
-///     socketpair end ProcessShardTransport hands its child), then
-///     exits 0 when the shard completed and 1 otherwise.
+///     session of successive ranges on fd 0, which must be a connected
+///     socket (the socketpair end ProcessShardTransport hands its
+///     child), then exits 0 when the coordinator closed it cleanly
+///     between ranges and 1 otherwise.
 ///
 /// Returns the process exit code (2 with a usage message on bad
 /// arguments or a non-socket fd 0, matching the CLI's validation

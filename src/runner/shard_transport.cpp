@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -101,7 +102,7 @@ std::string write_all_deadline(int fd, const std::uint8_t* data, std::size_t siz
   return {};
 }
 
-/// One shard attempt's socket to its worker — a socketpair end to a local
+/// One session's socket to its worker — a socketpair end to a local
 /// child (`pid` > 0), which the channel kills and reaps, or a TCP
 /// connection to a remote shard-server (`pid` = -1).
 class SocketShardChannel final : public ShardChannel {
@@ -120,6 +121,15 @@ class SocketShardChannel final : public ShardChannel {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return {ChannelRead::Kind::kWouldBlock, 0, {}};
       return {ChannelRead::Kind::kError, 0, std::string("read error: ") + std::strerror(errno)};
     }
+  }
+
+  std::string send_request(const ShardRequestFrame& request,
+                           Clock::time_point deadline) override {
+    if (fd_ < 0) return "connection already closed";
+    const std::vector<std::uint8_t> bytes = encode_frame(request);
+    const std::string error = write_all_deadline(fd_, bytes.data(), bytes.size(), deadline);
+    if (!error.empty()) return "failed shipping shard request (" + error + ")";
+    return {};
   }
 
   std::string send_heartbeat(std::uint64_t sequence) override {
@@ -164,16 +174,14 @@ class SocketShardChannel final : public ShardChannel {
 };
 
 /// Wraps a connected nonblocking socket in a channel and ships the
-/// attempt's request over it; a failed shipment aborts the channel.
+/// session's first request over it; a failed shipment aborts the channel.
 ShardStart start_session(int fd, pid_t pid, const ShardRequestFrame& request,
                          Clock::time_point deadline, const std::string& endpoint) {
   auto channel = std::make_unique<SocketShardChannel>(fd, pid);
   ShardStart result;
-  const std::vector<std::uint8_t> bytes = encode_frame(request);
-  const std::string error = write_all_deadline(fd, bytes.data(), bytes.size(), deadline);
+  const std::string error = channel->send_request(request, deadline);
   if (!error.empty()) {
-    result.error = endpoint + ": failed shipping shard request (" + error + ", " +
-                   channel->abort() + ")";
+    result.error = endpoint + ": " + error + " (" + channel->abort() + ")";
     return result;
   }
   result.channel = std::move(channel);
@@ -185,6 +193,16 @@ ShardStart start_session(int fd, pid_t pid, const ShardRequestFrame& request,
 // ---------------------------------------------------------------------------
 // ProcessShardTransport
 // ---------------------------------------------------------------------------
+
+namespace {
+
+std::atomic<std::size_t> children_forked_total{0};
+
+}  // namespace
+
+std::size_t ProcessShardTransport::children_forked() noexcept {
+  return children_forked_total.load();
+}
 
 ProcessShardTransport::ProcessShardTransport(std::size_t workers, std::string snapshot_dir,
                                              std::string worker_command)
@@ -232,6 +250,7 @@ ShardStart ProcessShardTransport::start(const ShardRequestFrame& request,
                  std::strerror(errno));
     ::_exit(127);
   }
+  children_forked_total.fetch_add(1);
   close_fd(fds[1]);
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
   return start_session(fds[0], pid, request, deadline, endpoint_);
@@ -414,12 +433,19 @@ TransportFault parse_transport_fault(const std::string& text) {
 
 namespace {
 
-/// Channel decorator applying one armed TransportFault to the byte
-/// stream of the attempt it wraps.
+/// True when `fault` targets this attempt of this range.
+bool fault_armed_for(const TransportFault& fault, const ShardRequestFrame& request) {
+  return fault.kind != TransportFault::Kind::kNone && request.shard == fault.shard &&
+         request.attempt < fault.attempts;
+}
+
+/// Channel decorator applying a TransportFault to the byte stream of
+/// the ranges it targets, counting stream offsets from the request that
+/// armed it.
 class FaultyChannel final : public ShardChannel {
  public:
-  FaultyChannel(std::unique_ptr<ShardChannel> inner, TransportFault fault)
-      : inner_(std::move(inner)), fault_(fault) {
+  FaultyChannel(std::unique_ptr<ShardChannel> inner, TransportFault fault, bool armed)
+      : inner_(std::move(inner)), fault_(fault), armed_(armed) {
     if (fault_.kind == TransportFault::Kind::kHeartbeatStall) {
       // A never-readable fd the coordinator can park its poll() on once
       // the stream goes silent, so the watchdog fires on schedule
@@ -441,6 +467,7 @@ class FaultyChannel final : public ShardChannel {
   }
 
   ChannelRead read_some(std::uint8_t* buffer, std::size_t capacity) override {
+    if (!armed_) return inner_->read_some(buffer, capacity);
     switch (fault_.kind) {
       case TransportFault::Kind::kDrop: {
         if (tripped_) {
@@ -504,6 +531,19 @@ class FaultyChannel final : public ShardChannel {
     return inner_->read_some(buffer, capacity);
   }
 
+  std::string send_request(const ShardRequestFrame& request,
+                           Clock::time_point deadline) override {
+    // The previous range ended cleanly, so this range's stream starts at
+    // offset 0 of whatever the worker sends next.
+    armed_ = fault_armed_for(fault_, request);
+    seen_ = 0;
+    tripped_ = false;
+    if (armed_ && fault_.kind == TransportFault::Kind::kConnectRefuse) {
+      return "connect: Connection refused (injected fault)";
+    }
+    return inner_->send_request(request, deadline);
+  }
+
   std::string send_heartbeat(std::uint64_t sequence) override {
     // Beacons keep flowing during a receive stall — the fault models a
     // one-directional partition, the harder case for the watchdog.
@@ -516,7 +556,8 @@ class FaultyChannel final : public ShardChannel {
  private:
   std::unique_ptr<ShardChannel> inner_;
   TransportFault fault_;
-  std::size_t seen_ = 0;   ///< bytes delivered to the coordinator so far
+  bool armed_;             ///< the range in flight is a faulted one
+  std::size_t seen_ = 0;   ///< bytes of that range delivered so far
   bool tripped_ = false;   ///< the fault has fired
   int stall_pipe_[2] = {-1, -1};
 };
@@ -528,16 +569,16 @@ FaultyTransport::FaultyTransport(std::shared_ptr<ShardTransport> inner, Transpor
 
 ShardStart FaultyTransport::start(const ShardRequestFrame& request,
                                   Clock::time_point deadline) {
-  const bool armed = fault_.kind != TransportFault::Kind::kNone &&
-                     request.shard == fault_.shard && request.attempt < fault_.attempts;
+  const bool armed = fault_armed_for(fault_, request);
   if (armed && fault_.kind == TransportFault::Kind::kConnectRefuse) {
     ShardStart refused;
     refused.error = endpoint() + ": connect: Connection refused (injected fault)";
     return refused;
   }
   ShardStart started = inner_->start(request, deadline);
-  if (armed && started.channel != nullptr) {
-    started.channel = std::make_unique<FaultyChannel>(std::move(started.channel), fault_);
+  if (fault_.kind != TransportFault::Kind::kNone && started.channel != nullptr) {
+    started.channel =
+        std::make_unique<FaultyChannel>(std::move(started.channel), fault_, armed);
   }
   return started;
 }

@@ -12,24 +12,25 @@
 /// \file shard_transport.hpp
 /// The transport abstraction of the sharded sweep dataplane: how the
 /// ShardRunner (runner/shard_coordinator.hpp) reaches the workers that
-/// execute its shards.  A transport only has to (1) ship the
-/// kShardRequest frame the runner built for an attempt to a worker
-/// before the runner's start deadline and (2) hand back a pollable
-/// socket speaking the shard protocol (runner/shard_protocol.hpp).
-/// Every attempt is served by the same session function
+/// execute its ranges.  A transport only has to (1) open a session by
+/// shipping the first kShardRequest frame the runner built to a worker
+/// before the runner's start deadline and (2) hand back a channel over a
+/// pollable socket speaking the shard protocol
+/// (runner/shard_protocol.hpp), on which the runner ships the session's
+/// later ranges.  Every session is served by the same session function
 /// (runner/shard_server.hpp); two transports differ only in how the
 /// socket comes to exist:
 ///
-///   - ProcessShardTransport: a socketpair to a fresh fork/exec'd
-///     `shard-server --stdio` child of this process per attempt,
+///   - ProcessShardTransport: a socketpair to a fork/exec'd
+///     `shard-server --stdio` child of this process per session,
 ///   - TcpShardTransport: a TCP connection to a remote `shard-server
-///     --listen` daemon,
+///     --listen` daemon per session,
 ///
 /// plus FaultyTransport, a deterministic fault-injection decorator that
 /// wraps any transport and corrupts / drops / stalls / delays the byte
-/// stream of a chosen shard's first attempts — the network half of the
-/// fault battery (shard_server.hpp documents the worker-process half,
-/// LR_TEST_WORKER_FAULT).
+/// stream of a chosen range's first attempts, whichever session carries
+/// them — the network half of the fault battery (shard_server.hpp
+/// documents the worker-process half, LR_TEST_WORKER_FAULT).
 ///
 /// Every write to a worker socket is a send() with MSG_NOSIGNAL, so a
 /// worker that died mid-attempt surfaces as an EPIPE failure of that one
@@ -97,10 +98,11 @@ struct ChannelRead {
   std::string error;              ///< description when kind == kError
 };
 
-/// One live shard attempt's byte stream, as the coordinator consumes it.
-/// The channel owns its socket and, for a local worker, the child
-/// process; exactly one of abort() / complete() must be called before
-/// destruction ends the attempt implicitly (destructors abort).
+/// One live session's byte stream, as the coordinator consumes it: the
+/// successive ranges the coordinator ships with send_request(), one at
+/// a time.  The channel owns its socket and, for a local worker, the
+/// child process; exactly one of abort() / complete() must be called
+/// before destruction ends the session implicitly (destructors abort).
 class ShardChannel {
  public:
   virtual ~ShardChannel() = default;
@@ -111,18 +113,26 @@ class ShardChannel {
   /// Nonblocking read of up to `capacity` bytes into `buffer`.
   virtual ChannelRead read_some(std::uint8_t* buffer, std::size_t capacity) = 0;
 
+  /// Ships the kShardRequest of the session's next range, blocking no
+  /// later than `deadline`; only legal once the previous range's
+  /// kShardDone has arrived.  Returns an empty string on success, else a
+  /// failure description (the coordinator then aborts the channel).
+  virtual std::string send_request(const ShardRequestFrame& request,
+                                   std::chrono::steady_clock::time_point deadline) = 0;
+
   /// Sends a coordinator -> worker liveness beacon.  Returns an empty
   /// string on success, else a failure description (the coordinator
   /// treats a failed heartbeat like any other channel failure).
   virtual std::string send_heartbeat(std::uint64_t sequence) = 0;
 
-  /// Abandons the attempt — kills / disconnects the worker and releases
+  /// Abandons the session — kills / disconnects the worker and releases
   /// the channel.  Returns a status description for diagnostics (e.g.
   /// the child's wait status).  Idempotent.
   virtual std::string abort() = 0;
 
-  /// Releases the channel after a clean shard completion (reaps the
-  /// child / closes the socket).  Idempotent.
+  /// Ends the session cleanly after its last range's kShardDone: closes
+  /// the socket, which the worker reads as the end of the session, and
+  /// reaps a local child.  Idempotent.
   virtual void complete() = 0;
 };
 
@@ -132,10 +142,10 @@ struct ShardStart {
   std::string error;  ///< failure description when channel is null
 };
 
-/// A place that can execute shard attempts: a factory of ShardChannels.
-/// `capacity()` is how many attempts the coordinator may run there
+/// A place that can execute ranges: a factory of ShardChannels.
+/// `capacity()` is how many sessions the coordinator may run there
 /// concurrently (child processes for the local transport, connections
-/// for a TCP host).
+/// for a TCP host) — its lanes.
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
@@ -144,11 +154,11 @@ class ShardTransport {
   /// diagnostics and the shard log.
   virtual const std::string& endpoint() const noexcept = 0;
 
-  /// Concurrent attempts this transport can serve.
+  /// Concurrent sessions (lanes) this transport can serve.
   virtual std::size_t capacity() const noexcept = 0;
 
-  /// Starts one shard attempt by shipping `request` to a worker; blocks
-  /// no later than `deadline` establishing it.  A failure (fork failure,
+  /// Opens one session by shipping `request`, its first range, to a
+  /// worker; blocks no later than `deadline` establishing it.  A failure (fork failure,
   /// connection refused, timeout shipping the request) is returned, not
   /// thrown — the runner charges it against the shard's retry budget and
   /// the endpoint's liveness score.
@@ -158,10 +168,12 @@ class ShardTransport {
 
 /// The local transport: every start() fork/execs a fresh shared-nothing
 /// `<worker_command> shard-server --stdio [--snapshot-dir D]` child with
-/// one end of a socketpair on its fd 0, ships the kShardRequest over the
-/// other, and returns that end as the channel.  Crash isolation is the
-/// process boundary: one process per attempt, killed and reaped by the
-/// channel.
+/// one end of a socketpair on its fd 0, ships the first kShardRequest
+/// over the other, and returns that end as the channel.  The child
+/// serves successive ranges until the channel closes, so a fault-free
+/// sweep forks one child per lane.  Crash isolation is the process
+/// boundary: a failed session's child is killed and reaped by the
+/// channel, and its in-flight range retried in a fresh child.
 class ProcessShardTransport : public ShardTransport {
  public:
   /// `workers` is the concurrent-attempt capacity; `snapshot_dir` is
@@ -178,6 +190,10 @@ class ProcessShardTransport : public ShardTransport {
   ShardStart start(const ShardRequestFrame& request,
                    std::chrono::steady_clock::time_point deadline) override;
 
+  /// Children fork/exec'd by every ProcessShardTransport of this
+  /// process so far (read by the fork-count tests).
+  static std::size_t children_forked() noexcept;
+
  private:
   std::size_t workers_;
   std::string snapshot_dir_;
@@ -186,8 +202,9 @@ class ProcessShardTransport : public ShardTransport {
 };
 
 /// One remote `shard-server` endpoint (runner/shard_server.hpp): every
-/// start() opens a fresh TCP connection, ships the kShardRequest, and
-/// returns the socket as the channel.
+/// start() opens a fresh TCP connection, ships the first kShardRequest,
+/// and returns the socket as the channel; the connection carries the
+/// session's later ranges too.
 class TcpShardTransport : public ShardTransport {
  public:
   /// Endpoint `host:port` with `workers` concurrent connections.
@@ -266,10 +283,11 @@ struct TransportFault {
 TransportFault parse_transport_fault(const std::string& text);
 
 /// Decorator injecting one TransportFault into an inner transport's byte
-/// stream, deterministically: attempt k of shard s either is or is not
-/// faulted as a pure function of the plan, so every test run exercises
-/// the identical failure schedule.  Attempts outside the plan pass
-/// through untouched.
+/// stream, deterministically: attempt k of range s either is or is not
+/// faulted as a pure function of the plan, whether it opens a session or
+/// is shipped on a reused one, so every test run exercises the identical
+/// failure schedule.  Ranges outside the plan pass through untouched; a
+/// `connect` fault on a reused session fails shipping the request.
 class FaultyTransport : public ShardTransport {
  public:
   /// Wraps `inner`, injecting `fault`.

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "runner/shard_protocol.hpp"
+
 /// End-to-end integration tests for the lr_cli binary: generate an
 /// instance file, inspect it, run algorithms over it, and model-check it —
 /// all through the real command-line interface.  The binary path is
@@ -491,6 +493,26 @@ TEST_F(CliIntegrationTest, ShardServerArgvValidation) {
   EXPECT_EQ(run_command("shard-server --listen 9000 --unknown x").exit_code, 2);
   EXPECT_EQ(run_command("shard-server --stdio --listen 9000").exit_code, 2);
   EXPECT_EQ(run_command("shard-server --listen 9000 --snapshot-dir /tmp").exit_code, 2);
+}
+
+TEST_F(CliIntegrationTest, ShardServerUsageNamesTheCurrentProtocolVersion) {
+  const auto result = run_command("shard-server");
+  EXPECT_EQ(result.exit_code, 2);
+  const std::string version = "v" + std::to_string(lr::kShardProtocolVersion) + " shard protocol";
+  EXPECT_NE(result.output.find(version), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("successive ranges"), std::string::npos) << result.output;
+}
+
+TEST_F(CliIntegrationTest, SweepRetriesAtTheIntegerLimitStillRetry) {
+  // `--retries 2^64-1` once wrapped the attempt budget to one attempt.
+  const std::string spec_path = write_small_sweep_spec("cli_it_max_retries.sweep");
+  ::setenv("LR_TEST_WORKER_FAULT", "exit:0", 1);
+  const auto result =
+      run_command("sweep " + spec_path + " --processes 2 --retries 18446744073709551615");
+  ::unsetenv("LR_TEST_WORKER_FAULT");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("1 shard retry(ies)"), std::string::npos) << result.output;
+  std::filesystem::remove(spec_path);
 }
 
 TEST_F(CliIntegrationTest, IntegerArgumentsAreStrict) {

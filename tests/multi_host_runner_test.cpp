@@ -93,6 +93,15 @@ SweepSpec longer_sweep() {
   return sweep;
 }
 
+/// small_sweep() over 11 seeds: 132 runs, so 2 lanes split it into 9
+/// ranges of at most kRangeRuns, and every session serves several.
+/// Range 5 can only reach a session that has served a range before.
+SweepSpec many_range_sweep() {
+  SweepSpec sweep = small_sweep();
+  sweep.seeds = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  return sweep;
+}
+
 std::string in_process_tables(const SweepSpec& sweep) {
   const ScenarioRunner runner({.threads = 1});
   return tables_of(runner.run(sweep));
@@ -235,6 +244,54 @@ INSTANTIATE_TEST_SUITE_P(
       name.resize(name.find(':'));
       return name;
     });
+
+/// The network analogues of a worker's exit, stall and truncation —
+/// drop, hbstall and corrupt — plus a refused request, on a range that
+/// is not its session's first: only that range is retried, and the
+/// connection's earlier ranges keep their merged records.
+class ReusedSessionNetworkFaults : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ReusedSessionNetworkFaults, OnlyTheFaultedRangeRetries) {
+  const std::string knob = GetParam();
+  const SweepSpec sweep = many_range_sweep();
+  const std::string expected = in_process_tables(sweep);
+  const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", knob);
+  const ScopedEnv watchdog("LR_TEST_WORKER_TIMEOUT_MS", "400");
+  const auto servers = start_servers(1);
+  ShardRunner runner({.threads = 1}, hosts_of(servers, 2));
+  EXPECT_EQ(tables_of(runner.run(sweep)), expected) << knob;
+  const auto& diagnostics = runner.shard_diagnostics();
+  ASSERT_EQ(diagnostics.size(), 9u);
+  for (const ShardDiagnostics& diag : diagnostics) {
+    EXPECT_TRUE(diag.completed) << knob << " range " << diag.shard;
+    EXPECT_EQ(diag.attempts, diag.shard == 5 ? 2u : 1u) << knob << " range " << diag.shard;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DropStallCorruptConnect, ReusedSessionNetworkFaults,
+                         ::testing::Values("drop:5", "hbstall:5", "corrupt:5", "connect:5"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           std::string name = info.param;
+                           name.resize(name.find(':'));
+                           return name;
+                         });
+
+TEST(MultiHostRunner, FaultFreeSweepOpensOneConnectionPerLane) {
+  const SweepSpec sweep = many_range_sweep();
+  const std::string expected = in_process_tables(sweep);
+  const auto servers = start_servers(1);
+  ShardRunner runner({.threads = 1}, hosts_of(servers, 2));
+  EXPECT_EQ(tables_of(runner.run(sweep)), expected);
+  // Both sessions end cleanly once the coordinator closes them; wait for
+  // the server threads to count them.
+  const auto bound = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (servers[0]->sessions_completed() < 2 && std::chrono::steady_clock::now() < bound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(servers[0]->sessions_completed(), 2u);
+  EXPECT_EQ(servers[0]->sessions_failed(), 0u);
+  EXPECT_EQ(runner.shard_diagnostics().size(), 9u);
+}
 
 TEST(MultiHostRunner, UnrecoverableFaultExhaustsBudgetLoudly) {
   const SweepSpec sweep = small_sweep();

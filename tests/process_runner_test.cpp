@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,17 +14,21 @@
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "runner/shard_coordinator.hpp"
+#include "runner/shard_protocol.hpp"
 #include "runner/shard_server.hpp"
+#include "runner/shard_transport.hpp"
 #include "trace/report.hpp"
 
 /// Acceptance battery of the `--processes` sweep backend (ShardRunner
 /// over one local endpoint, runner/shard_coordinator.hpp): shard
 /// partitioning, spec round-trip,
 /// byte-identical merges at every worker count (including sweeps that
-/// exercise the engine / sim parallelism knobs), and the fault-injection
-/// battery — each of exit / segv / truncate / stall must recover via a
-/// retry with identical tables, and an unrecoverable fault must fail
-/// loudly with per-shard diagnostics, never hang or drop runs.  Also
+/// exercise the engine / sim parallelism knobs), sessions that serve
+/// many ranges (one child per lane), and the fault-injection battery —
+/// each of exit / segv / truncate / stall must recover via a retry with
+/// identical tables, also when it hits a range that is not its
+/// session's first, and an unrecoverable fault must fail loudly with
+/// per-shard diagnostics, never hang or drop runs.  Also
 /// pinned here: the strict parsing of the three test fault hooks, and
 /// that a sharded sweep never touches the process's SIGPIPE handler.
 ///
@@ -89,6 +94,15 @@ SweepSpec parallel_knobs_sweep() {
   sweep.sim_scheduler = EventSchedulerKind::kWheel;
   sweep.sim_threads = 2;
   sweep.engine_threads = 2;
+  return sweep;
+}
+
+/// small_sweep() over 11 seeds: 132 runs, so 2 lanes split it into 9
+/// ranges of at most kRangeRuns, and every session serves several.
+/// Range 5 can only reach a session that has served a range before.
+SweepSpec many_range_sweep() {
+  SweepSpec sweep = small_sweep();
+  sweep.seeds = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
   return sweep;
 }
 
@@ -192,6 +206,25 @@ TEST(ProcessShardRunner, ParallelismKnobsDoNotPerturbTheMerge) {
   }
 }
 
+TEST(ProcessShardRunner, LargeSweepsPullSmallRangesFromOneChildPerLane) {
+  const SweepSpec sweep = many_range_sweep();
+  const std::string baseline = in_process_tables(sweep);
+  for (const std::size_t workers : {2u, 4u}) {
+    const std::size_t forked = ProcessShardTransport::children_forked();
+    ShardRunner runner({.threads = 1, .process_workers = workers});
+    EXPECT_EQ(tables_of(runner.run(sweep)), baseline) << workers << " workers";
+    // Fault-free: every lane's child serves ranges until none is left.
+    EXPECT_LE(ProcessShardTransport::children_forked() - forked, workers) << workers;
+    const auto& diagnostics = runner.shard_diagnostics();
+    EXPECT_EQ(diagnostics.size(), 9u);
+    for (const ShardDiagnostics& diag : diagnostics) {
+      EXPECT_LE(diag.range.size(), kRangeRuns);
+      EXPECT_TRUE(diag.completed);
+      EXPECT_EQ(diag.attempts, 1u);
+    }
+  }
+}
+
 TEST(ProcessShardRunner, EmptySweepYieldsEmptyReport) {
   SweepSpec sweep = small_sweep();
   sweep.seeds.clear();  // run_count() == 0
@@ -255,6 +288,45 @@ INSTANTIATE_TEST_SUITE_P(AllFaultKinds, WorkerFaultRecovery,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+/// The same faults on a range that is not its session's first: the
+/// child dies or wedges after serving earlier ranges, whose merged
+/// records stand; only the faulted range is retried.
+class ReusedSessionFaultRecovery : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ReusedSessionFaultRecovery, OnlyTheFaultedRangeRetries) {
+  const std::string kind = GetParam();
+  const SweepSpec sweep = many_range_sweep();
+  const std::string baseline = in_process_tables(sweep);
+  const ScopedEnv fault("LR_TEST_WORKER_FAULT", kind + ":5");
+  const ScopedEnv timeout("LR_TEST_WORKER_TIMEOUT_MS", "1500");
+  ShardRunner runner({.threads = 1, .process_workers = 2, .worker_retries = 2});
+  EXPECT_EQ(tables_of(runner.run(sweep)), baseline) << "fault kind " << kind;
+  const auto& diagnostics = runner.shard_diagnostics();
+  ASSERT_EQ(diagnostics.size(), 9u);
+  for (const ShardDiagnostics& diag : diagnostics) {
+    EXPECT_TRUE(diag.completed) << "range " << diag.shard;
+    EXPECT_EQ(diag.attempts, diag.shard == 5 ? 2u : 1u) << "range " << diag.shard;
+    EXPECT_EQ(diag.failure_lines().size(), diag.shard == 5 ? 1u : 0u) << "range " << diag.shard;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ExitStallTruncate, ReusedSessionFaultRecovery,
+                         ::testing::Values("exit", "stall", "truncate"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(WorkerFaultRecovery, RetryBudgetSaturatesAtTheIntegerLimit) {
+  // 1 + SIZE_MAX once wrapped to a budget of one attempt.
+  const SweepSpec sweep = small_sweep();
+  const ScopedEnv fault("LR_TEST_WORKER_FAULT", "exit:0");
+  ShardRunner runner({.threads = 1,
+                      .process_workers = 2,
+                      .worker_retries = std::numeric_limits<std::size_t>::max()});
+  EXPECT_EQ(tables_of(runner.run(sweep)), in_process_tables(sweep));
+  EXPECT_EQ(runner.shard_diagnostics().at(0).attempts, 2u);
+}
 
 TEST(WorkerFaultExhaustion, BoundedRetriesThenLoudFailure) {
   const SweepSpec sweep = small_sweep();
