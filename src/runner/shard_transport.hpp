@@ -158,10 +158,10 @@ class ShardTransport {
   virtual std::size_t capacity() const noexcept = 0;
 
   /// Opens one session by shipping `request`, its first range, to a
-  /// worker; blocks no later than `deadline` establishing it.  A failure (fork failure,
-  /// connection refused, timeout shipping the request) is returned, not
-  /// thrown — the runner charges it against the shard's retry budget and
-  /// the endpoint's liveness score.
+  /// worker; blocks no later than `deadline` establishing it.  A failure
+  /// (fork failure, connection refused, timeout shipping the request) is
+  /// returned, not thrown — the runner charges it against the range's
+  /// retry budget and the endpoint's liveness score.
   virtual ShardStart start(const ShardRequestFrame& request,
                            std::chrono::steady_clock::time_point deadline) = 0;
 };
@@ -173,7 +173,7 @@ class ShardTransport {
 /// serves successive ranges until the channel closes, so a fault-free
 /// sweep forks one child per lane.  Crash isolation is the process
 /// boundary: a failed session's child is killed and reaped by the
-/// channel, and its in-flight range retried in a fresh child.
+/// channel, and its lane reopens with a fresh child.
 class ProcessShardTransport : public ShardTransport {
  public:
   /// `workers` is the concurrent-attempt capacity; `snapshot_dir` is
