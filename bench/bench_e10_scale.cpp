@@ -21,8 +21,9 @@
 ///         in-place CSR patches (`insert_link` / `remove_link`) at
 ///         10^5–10^6 nodes — rebuild-free by construction, self-verified
 ///         by the healing suffix restoring the initial fingerprint — plus
-///         the `DynamicHeightsDag` steady state asserting
-///         `snapshot_rebuilds() == 0` via the existing counters.
+///         the `DynamicHeightsDag` steady state (O(deg) neighbour-list
+///         edits) asserting one link edit per event and a
+///         destination-oriented final state.
 ///  E10.4  Deployment identity: the same sweeps byte-identical in-process,
 ///         with a cold snapshot dir (saves), a warm one (mmap reloads,
 ///         i.e. borrowed CsrGraphs), and at 2 / 4 worker processes
@@ -323,9 +324,9 @@ bool print_churn_series(bool smoke) {
   }
   bench::emit_csv(patch_table);
 
-  // Steady-state heights core: single-link churn must stay on the patch
-  // path (the existing counters are the assertion hook).  Smaller sizes —
-  // stabilization work, not patching, dominates here.
+  // Steady-state heights core: every event must be one link edit, and the
+  // final state must leave no sink in the destination's component but the
+  // destination.  Smaller sizes — stabilization work dominates here.
   const std::size_t heights_n = smoke ? 2'048 : 20'000;
   std::mt19937_64 rng(94);
   const double radius = std::sqrt(6.0 / static_cast<double>(heights_n));
@@ -333,8 +334,6 @@ bool print_churn_series(bool smoke) {
       make_waypoint_churn_instance(heights_n, radius, smoke ? 1'000 : 10'000, rng);
   DynamicHeightsDag dag(churn.instance.graph, churn.instance.destination);
   dag.stabilize();
-  const std::uint64_t warm_rebuilds = dag.snapshot_rebuilds();
-  const std::uint64_t warm_patches = dag.snapshot_patches();
   const auto start = std::chrono::steady_clock::now();
   for (const LinkEvent& event : churn.churn) {
     if (event.up) {
@@ -346,17 +345,19 @@ bool print_churn_series(bool smoke) {
   }
   const double ns =
       std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start).count();
-  const std::uint64_t rebuilds = dag.snapshot_rebuilds() - warm_rebuilds;
-  const std::uint64_t patches = dag.snapshot_patches() - warm_patches;
-  const bool rebuild_free = rebuilds == 0 && patches == churn.churn.size();
-  ok &= rebuild_free;
+  bool oriented = true;
+  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
+    if (u != dag.destination() && dag.routable(u) && dag.is_sink(u)) oriented = false;
+  }
+  const bool steady = dag.link_edits() == churn.churn.size() && oriented;
+  ok &= steady;
   std::printf(
-      "heights steady state (n=%zu): %zu events, %.0f events/sec, %llu patches, "
-      "%llu rebuilds -> %s\n",
+      "heights steady state (n=%zu): %zu events, %.0f events/sec, %llu link edits, "
+      "destination-oriented %s -> %s\n",
       heights_n, churn.churn.size(),
       ns > 0.0 ? static_cast<double>(churn.churn.size()) * 1e9 / ns : 0.0,
-      static_cast<unsigned long long>(patches), static_cast<unsigned long long>(rebuilds),
-      rebuild_free ? "rebuild-free" : "REBUILT");
+      static_cast<unsigned long long>(dag.link_edits()), oriented ? "yes" : "NO",
+      steady ? "ok" : "FAILED");
   return ok;
 }
 

@@ -241,9 +241,10 @@ class CsrGraph {
   //
   // Precondition (documented, not checked): edge ids must ascend in
   // canonical (min, max) endpoint order, i.e. the snapshot was built from
-  // a Graph over a canonically sorted edge list — which is exactly how
-  // `DynamicHeightsDag` builds and rebuilds its snapshots.  Patching
-  // preserves the property, so any number of patches may be chained.
+  // a Graph over a canonically sorted edge list.  Patching preserves the
+  // property, so any number of patches may be chained.  (The routing core
+  // keeps its own per-node neighbour lists and does not patch CSR; these
+  // calls serve the E10.3 patch series and the tests.)
   //
   // A borrowed snapshot is materialized first (one array copy), then
   // patched: the mmap'd bytes stay pristine for other processes.

@@ -39,9 +39,9 @@ inline constexpr std::uint64_t kCsrPosLimit = std::uint64_t{1} << 32;
 
 /// One undirected topology event of a churn schedule: the link {u, v}
 /// comes up or goes down.  Produced by the churn-schedule generators
-/// (graph/generators.hpp), consumed in batch by
-/// `DynamicHeightsDag::apply_events` and patched into frozen snapshots by
-/// `CsrGraph::insert_link` / `remove_link`.
+/// (graph/generators.hpp), replayed over the routing core by
+/// `DynamicHeightsDag::add_link` / `remove_link` and patched into frozen
+/// snapshots by `CsrGraph::insert_link` / `remove_link`.
 struct LinkEvent {
   NodeId u = 0;     ///< one endpoint
   NodeId v = 0;     ///< the other endpoint

@@ -4,10 +4,8 @@
 #include <optional>
 #include <span>
 #include <tuple>
-#include <utility>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 
@@ -31,28 +29,21 @@
 ///     connectivity; TORA handles partition detection separately, which we
 ///     approximate by the component check).
 ///
-/// Execution layout (docs/PERFORMANCE.md): the link set is a sorted
-/// canonical edge list, and every query loop (sink tests, reversal steps,
-/// component BFS, next-hop scans) runs over a frozen `CsrGraph` snapshot.
-/// Per-node out-degree counters are maintained incrementally under height
-/// updates, making sink tests O(1) instead of an adjacency walk.
+/// Execution layout (docs/PERFORMANCE.md): every node keeps its current
+/// neighbours in one ascending list, and per-node out-degree counters are
+/// maintained incrementally under height updates, so a sink test is O(1)
+/// and a single add_link/remove_link costs a binary search plus one
+/// insert or erase in each endpoint's list — O(deg), independent of n and
+/// m.  Every query loop (sink tests, reversal steps, next-hop scans) walks
+/// those lists in ascending neighbour order.
 ///
-/// Snapshot maintenance is *incremental*: a single add_link/remove_link on
-/// a live snapshot patches the CSR adjacency in place
-/// (`CsrGraph::insert_link` / `remove_link`, one linear array pass) and
-/// adjusts the one affected out-degree counter, so churn-heavy TORA sweeps
-/// never rebuild.  A full rebuild happens only when no snapshot exists yet
-/// (the empty-construction bootstrap) or after batch churn
-/// (`apply_events` beyond the patch limit), where one rebuild beats many
-/// patches.  The `snapshot_rebuilds()` / `snapshot_patches()` counters
-/// expose which path ran, and tests assert single-link churn is
-/// rebuild-free.
+/// The destination's component is cached and recomputed (one BFS) only
+/// after an event that can change it: an add_link joining the component
+/// to an outside node, a set_destination outside it, or a remove_link
+/// inside it that no local argument proves harmless (see remove_link).
+/// `stabilize()` and `routable()` read the cache.
 
 namespace lr {
-
-// LinkEvent (one topology event of an apply_events batch) lives in
-// graph/types.hpp so the churn-schedule generators can emit event streams
-// without depending on the routing layer.
 
 /// The dynamic-topology partial-reversal height core; see the file comment.
 class DynamicHeightsDag {
@@ -62,9 +53,8 @@ class DynamicHeightsDag {
   /// acyclic by total order.
   DynamicHeightsDag(std::size_t num_nodes, NodeId destination);
 
-  /// Batch form: starts with all of `topology`'s links in one snapshot
-  /// build (the services' construction fast path; equivalent to add_link
-  /// over every edge, minus m incremental inserts).
+  /// Batch form: starts with all of `topology`'s links (the services'
+  /// construction path; equivalent to add_link over every edge).
   DynamicHeightsDag(const Graph& topology, NodeId destination);
 
   /// Number of nodes (fixed at construction; links churn, nodes do not).
@@ -74,37 +64,30 @@ class DynamicHeightsDag {
   NodeId destination() const noexcept { return destination_; }
 
   /// Re-targets the DAG (new leader / token holder).  Call stabilize()
-  /// afterwards.
+  /// afterwards.  Keeps the component cache when `d` is already in the
+  /// destination's component.
   void set_destination(NodeId d);
 
   /// Adds / removes an undirected link.  Idempotent.  Call stabilize()
-  /// afterwards to restore destination orientation.  On a live snapshot
-  /// this is an in-place CSR patch, not a rebuild (see the file comment).
+  /// afterwards to restore destination orientation.  O(deg): one binary
+  /// search and one insert / erase in each endpoint's neighbour list.
+  ///
+  /// add_link invalidates the component cache only when exactly one
+  /// endpoint is in the destination's component.  remove_link keeps it
+  /// when the link lay outside the component; when nothing changed since
+  /// the last stabilize() and the link's tail keeps an out-link (every
+  /// downhill path from the tail's other out-neighbours and from the head
+  /// avoids the removed link); or when the endpoints still share a
+  /// neighbour.  Otherwise it invalidates it.
   void add_link(NodeId u, NodeId v);
   /// \copydoc add_link
   void remove_link(NodeId u, NodeId v);
-  /// True iff the undirected link {u, v} is currently present.
+  /// True iff the undirected link {u, v} is currently present.  A binary
+  /// search in u's neighbour list.
   bool has_link(NodeId u, NodeId v) const;
 
-  /// Applies a batch of link events in order (each idempotent, like
-  /// add_link/remove_link).  Small batches patch the snapshot per event;
-  /// beyond the internal patch limit the snapshot is invalidated first so
-  /// the whole batch costs one rebuild — the batch-churn fallback.
-  void apply_events(std::span<const LinkEvent> events);
-
-  /// Drops the current snapshot so the next query rebuilds it from the
-  /// link list.  Results never depend on this (a rebuilt snapshot is
-  /// byte-identical to a patched one); it exists as a debug/test hook to
-  /// force the full-rebuild path for comparison.
-  void invalidate_snapshot() { stale_ = true; }
-
-  /// Full snapshot (re)builds performed so far, the initial construction
-  /// included.  Single-link churn on a live snapshot never increments
-  /// this.
-  std::uint64_t snapshot_rebuilds() const noexcept { return snapshot_rebuilds_; }
-
-  /// In-place single-link snapshot patches performed so far.
-  std::uint64_t snapshot_patches() const noexcept { return snapshot_patches_; }
+  /// add_link / remove_link calls that changed the link set so far.
+  std::uint64_t link_edits() const noexcept { return link_edits_; }
 
   /// The Gafni–Bertsekas triple height of `u`: (a, b, id), compared
   /// lexicographically.
@@ -125,7 +108,8 @@ class DynamicHeightsDag {
   std::uint64_t stabilize();
 
   /// True iff u is in the destination's component (i.e. routable once
-  /// stabilized).
+  /// stabilized).  Reads the component cache; not safe to call from
+  /// several threads at once while the cache may need a recompute.
   bool routable(NodeId u) const;
 
   /// The out-neighbor with the smallest height (the steepest-descent next
@@ -139,30 +123,31 @@ class DynamicHeightsDag {
   /// Total reversal steps performed by all stabilize() calls so far.
   std::uint64_t total_reversals() const noexcept { return total_reversals_; }
 
-  /// Current neighbors of `u`, ascending — an O(1) slice of the CSR
-  /// snapshot.  Invalidated by the next add_link/remove_link.
+  /// Current neighbors of `u`, ascending — an O(1) view of u's list.
+  /// Invalidated by the next add_link/remove_link touching u.
   std::span<const NodeId> neighbors(NodeId u) const;
 
  private:
-  void ensure_snapshot() const;
   void partial_reversal_step(NodeId u);
-  std::vector<bool> destination_component() const;
+  /// The destination's component, recomputed by BFS when stale.
+  const std::vector<bool>& destination_component() const;
+  /// True iff u and v have a common neighbour (sorted-list intersection).
+  bool share_neighbor(NodeId u, NodeId v) const;
 
   NodeId destination_;
-  /// The mutable link set: canonical (min, max) pairs, sorted — the only
-  /// state churn touches; everything else derives from the snapshot.
-  std::vector<std::pair<NodeId, NodeId>> links_;
+  std::vector<std::vector<NodeId>> adj_;  ///< ascending neighbour lists
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
+  std::vector<std::uint32_t> out_degree_;  ///< derived from heights
   std::uint64_t total_reversals_ = 0;
+  std::uint64_t link_edits_ = 0;
+  /// No link, destination or height changed since the last stabilize():
+  /// the component is destination-oriented.
+  bool settled_ = false;
 
-  // Lazily (re)built, incrementally patched execution snapshot (mutable:
-  // const queries refresh it when stale).
-  mutable CsrGraph csr_;
-  mutable std::vector<std::uint32_t> out_degree_;  ///< derived from heights
-  mutable bool stale_ = true;
-  mutable std::uint64_t snapshot_rebuilds_ = 0;
-  std::uint64_t snapshot_patches_ = 0;
+  // The component cache (mutable: const queries refresh it when stale).
+  mutable std::vector<bool> component_;
+  mutable bool component_stale_ = true;
 };
 
 }  // namespace lr

@@ -59,8 +59,8 @@ class LinkReversalMutex {
 
   /// Topology churn (the service-harness path): adds / removes an
   /// undirected link and immediately re-stabilizes towards the holder, so
-  /// request routes stay valid across churn.  Idempotent, incremental (a
-  /// live snapshot is patched, not rebuilt).  A removal can partition
+  /// request routes stay valid across churn.  Idempotent, incremental (an
+  /// O(deg) edit of the DAG's neighbour lists).  A removal can partition
   /// requesters from the holder; request() then has no route, which
   /// callers detect via dag().route() first.
   void link_up(NodeId u, NodeId v);

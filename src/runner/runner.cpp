@@ -154,6 +154,15 @@ void run_hybrid_kernel(RunRecord& record, const Instance& instance) {
   record.converged = result.quiescent && result.destination_oriented;
 }
 
+/// True iff no node of the destination's component but the destination is
+/// a sink — the state stabilize() promises.
+bool destination_oriented(const DynamicHeightsDag& dag) {
+  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
+    if (u != dag.destination() && dag.routable(u) && dag.is_sink(u)) return false;
+  }
+  return true;
+}
+
 /// tora: the routing service under link churn; work is maintenance
 /// reversals, messages is delivered packets.
 ///
@@ -162,9 +171,9 @@ void run_hybrid_kernel(RunRecord& record, const Instance& instance) {
 /// FrozenInstance when the sweep already generated it) over the
 /// dynamic-heights core, stabilizing after every event — the E10
 /// steady-state regime.  Record mapping: work = total reversal steps,
-/// rounds = events replayed, messages = in-place snapshot patches,
-/// abstract_steps = full snapshot rebuilds after warm-up (0 = the
-/// rebuild-free steady state docs/EXPERIMENTS.md promises).
+/// rounds = events replayed, messages = link edits (events that changed
+/// the link set), abstract_steps = 0, converged = no sink other than the
+/// destination left in the destination's component.
 void run_tora_kernel(RunRecord& record, const Instance& instance,
                      const std::vector<LinkEvent>* churn) {
   const RunSpec& spec = record.spec;
@@ -176,7 +185,6 @@ void run_tora_kernel(RunRecord& record, const Instance& instance,
     }
     DynamicHeightsDag dag(instance.graph, instance.destination);
     dag.stabilize();
-    const std::uint64_t warm_rebuilds = dag.snapshot_rebuilds();
     for (const LinkEvent& event : *churn) {
       if (event.up) {
         dag.add_link(event.u, event.v);
@@ -187,9 +195,8 @@ void run_tora_kernel(RunRecord& record, const Instance& instance,
     }
     record.work = dag.total_reversals();
     record.rounds = churn->size();
-    record.messages = dag.snapshot_patches();
-    record.abstract_steps = dag.snapshot_rebuilds() - warm_rebuilds;
-    record.converged = record.abstract_steps == 0;
+    record.messages = dag.link_edits();
+    record.converged = destination_oriented(dag);
     return;
   }
   const ToraStats stats = run_churn_scenario(instance.graph, instance.destination, spec.size, 2,

@@ -215,7 +215,10 @@ RunRecord execute_run(const RunSpec& spec, SweepCache* cache, WorkerPoolCache* p
 /// Counters of the SweepCache one sweep ran over, surfaced so callers
 /// (e.g. `lr_cli sweep`) can report cache effectiveness next to timing.
 struct SweepCacheStats {
-  std::size_t entries = 0;       ///< distinct workloads resident at sweep end
+  /// Distinct workloads resident at sweep end; for a sharded sweep, the
+  /// largest count any one range's cache held (ranges run over caches of
+  /// their own, so the counts do not add up).
+  std::size_t entries = 0;
   std::uint64_t hits = 0;        ///< get() calls served from the cache
   std::uint64_t misses = 0;      ///< get() calls that generated the workload
   std::uint64_t evictions = 0;   ///< workloads dropped by the LRU bound

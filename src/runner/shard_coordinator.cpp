@@ -339,8 +339,9 @@ SweepReport ShardRunner::run(const SweepSpec& spec) {
     }
     lane.done_seen = true;
     // A valid shard-done completes the range, so each range's worker
-    // cache counters are summed exactly once.
-    report.cache.entries += frame.done.cache.entries;
+    // cache counters are summed exactly once.  Each range runs over its
+    // own cache, so the resident count is the largest one, not a sum.
+    report.cache.entries = std::max(report.cache.entries, frame.done.cache.entries);
     report.cache.hits += frame.done.cache.hits;
     report.cache.misses += frame.done.cache.misses;
     report.cache.evictions += frame.done.cache.evictions;

@@ -470,20 +470,14 @@ class FaultyChannel final : public ShardChannel {
     if (!armed_) return inner_->read_some(buffer, capacity);
     switch (fault_.kind) {
       case TransportFault::Kind::kDrop: {
-        if (tripped_) {
-          inner_->abort();
-          return {ChannelRead::Kind::kEof, 0, {}};
-        }
+        if (tripped_) return drop_session();
         ChannelRead read = inner_->read_some(buffer, capacity);
         if (read.kind == ChannelRead::Kind::kData) {
           if (seen_ + read.bytes >= fault_.at_byte) {
             // Deliver only up to the cut so the stream dies mid-frame.
             read.bytes = fault_.at_byte > seen_ ? fault_.at_byte - seen_ : 0;
             tripped_ = true;
-            if (read.bytes == 0) {
-              inner_->abort();
-              return {ChannelRead::Kind::kEof, 0, {}};
-            }
+            if (read.bytes == 0) return drop_session();
           }
           seen_ += read.bytes;
         }
@@ -550,15 +544,26 @@ class FaultyChannel final : public ShardChannel {
     return inner_->send_heartbeat(sequence);
   }
 
-  std::string abort() override { return inner_->abort(); }
+  std::string abort() override {
+    const std::string status = inner_->abort();
+    return dropped_status_.empty() ? status : dropped_status_;
+  }
   void complete() override { inner_->complete(); }
 
  private:
+  /// Ends the session the way a dropped connection does, keeping the
+  /// inner channel's account of how it ended for abort() to report.
+  ChannelRead drop_session() {
+    if (dropped_status_.empty()) dropped_status_ = inner_->abort();
+    return {ChannelRead::Kind::kEof, 0, {}};
+  }
+
   std::unique_ptr<ShardChannel> inner_;
   TransportFault fault_;
   bool armed_;             ///< the range in flight is a faulted one
   std::size_t seen_ = 0;   ///< bytes of that range delivered so far
   bool tripped_ = false;   ///< the fault has fired
+  std::string dropped_status_;  ///< inner abort() status of a fired drop
   int stall_pipe_[2] = {-1, -1};
 };
 

@@ -255,8 +255,8 @@ ServiceReport ServiceHarness::run() {
   SimTime now = 0;
   while (index.peek_min_time(now) && now <= options_.duration) {
     index.pop_min(entry);
-    // Churn due at or before this tick, through the incremental patch
-    // path of all three services (a no-op after the tick's first pop).
+    // Churn due at or before this tick, through the incremental link
+    // edits of all three services (a no-op after the tick's first pop).
     apply_churn_until(now);
 
     std::mt19937_64& rng = client_rng[entry.slot];
@@ -289,10 +289,6 @@ ServiceReport ServiceHarness::run() {
   report.churn_events = churn_events_;
   report.reversal_steps = tora_.dag().total_reversals() + mutex_.dag().total_reversals() +
                           leader_.dag().total_reversals();
-  report.snapshot_patches = tora_.dag().snapshot_patches() + mutex_.dag().snapshot_patches() +
-                            leader_.dag().snapshot_patches();
-  report.snapshot_rebuilds = tora_.dag().snapshot_rebuilds() + mutex_.dag().snapshot_rebuilds() +
-                             leader_.dag().snapshot_rebuilds();
   return report;
 }
 

@@ -31,8 +31,8 @@
 /// schedules the client's next wake after its latency plus a few think
 /// ticks.  Link churn — random flips at a fixed cadence, or an explicit
 /// script for fault-injection tests — flows through
-/// `DynamicHeightsDag::add_link/remove_link`, i.e. the incremental CSR
-/// patch path, so steady-state churn never rebuilds a snapshot.
+/// `DynamicHeightsDag::add_link/remove_link`, an O(deg) edit of two
+/// neighbour lists, so steady-state churn never rebuilds anything.
 ///
 /// Latency is measured in deterministic *virtual* units derived from
 /// the work a request causes (1 + route hops, plus reversal steps for
@@ -124,8 +124,6 @@ struct ServiceReport {
   ServiceKindStats kinds[kRequestKinds];
   std::uint64_t churn_events = 0;      ///< link flips applied
   std::uint64_t reversal_steps = 0;    ///< reversal steps across all services
-  std::uint64_t snapshot_patches = 0;  ///< incremental CSR patches (churn path)
-  std::uint64_t snapshot_rebuilds = 0; ///< full snapshot rebuilds (construction)
   /// Per-request trace in issue order (empty unless keep_trace).
   std::vector<ServiceRequest> trace;
   /// Wall-clock seconds of the run loop — throughput only, explicitly

@@ -276,6 +276,24 @@ INSTANTIATE_TEST_SUITE_P(DropStallCorruptConnect, ReusedSessionNetworkFaults,
                            return name;
                          });
 
+TEST(MultiHostRunner, DropFaultLogNamesHowTheSessionEnded) {
+  // The fault itself closes the connection; the retry line must carry
+  // that close's status, not the "not connected" of a second abort.
+  const SweepSpec sweep = many_range_sweep();
+  const ScopedEnv fault("LR_TEST_TRANSPORT_FAULT", "drop:3");
+  const auto servers = start_servers(1);
+  ShardRunner runner({.threads = 1}, hosts_of(servers, 2));
+  EXPECT_EQ(tables_of(runner.run(sweep)), in_process_tables(sweep));
+  const auto& diagnostics = runner.shard_diagnostics();
+  ASSERT_EQ(diagnostics.size(), 9u);
+  ASSERT_EQ(diagnostics[3].failure_lines().size(), 1u);
+  const std::string line = diagnostics[3].failure_lines()[0];
+  EXPECT_NE(line.find("truncated mid-frame (connection closed by coordinator)"),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find("not connected"), std::string::npos) << line;
+}
+
 TEST(MultiHostRunner, FaultFreeSweepOpensOneConnectionPerLane) {
   const SweepSpec sweep = many_range_sweep();
   const std::string expected = in_process_tables(sweep);

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "runner/runner.hpp"
@@ -242,6 +245,28 @@ TEST(ProcessShardRunner, MergedCacheStatsCoverEveryRun) {
   // parent sums the per-worker counters.
   EXPECT_EQ(report.cache.hits + report.cache.misses, sweep.run_count());
   EXPECT_GT(report.cache.misses, 0u);
+}
+
+TEST(ProcessShardRunner, ResidentCacheCountIsTheLargestRangesNotTheSum) {
+  // Every range runs over a cache of its own, so "resident" means the
+  // most workloads one range held: the distinct (topology, size, seed)
+  // keys of its runs.
+  const SweepSpec sweep = many_range_sweep();
+  ShardRunner runner({.threads = 1, .process_workers = 2});
+  const SweepReport report = runner.run(sweep);
+  const std::vector<RunSpec> runs = sweep.expand();
+  std::size_t largest = 0;
+  std::size_t sum = 0;
+  for (const ShardDiagnostics& diag : runner.shard_diagnostics()) {
+    std::set<std::tuple<TopologyKind, std::size_t, std::uint64_t>> keys;
+    for (std::size_t i = diag.range.begin; i < diag.range.end; ++i) {
+      keys.emplace(runs[i].topology, runs[i].size, runs[i].seed);
+    }
+    largest = std::max(largest, keys.size());
+    sum += keys.size();
+  }
+  EXPECT_EQ(report.cache.entries, largest);
+  EXPECT_LT(report.cache.entries, sum);
 }
 
 // ---------------------------------------------------------------------------

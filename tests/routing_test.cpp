@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
 #include "routing/dynamic_heights.hpp"
 #include "routing/leader_election.hpp"
@@ -125,14 +127,14 @@ TEST(DynamicHeightsTest, NeighborsSliceTracksChurnAndStaysAscending) {
 }
 
 TEST(DynamicHeightsTest, QueriesBetweenChurnEventsShareOneSnapshot) {
-  // Regression guard for the lazy CSR rebuild: interleaved queries after a
-  // single churn event must agree with a freshly built DAG over the same
-  // link set.
+  // Regression guard for the component cache: interleaved queries after a
+  // partitioning churn event must agree with a freshly built DAG over the
+  // same link set.
   DynamicHeightsDag dag(6, 0);
   for (NodeId u = 0; u + 1 < 6; ++u) dag.add_link(u, u + 1);
   dag.stabilize();
   dag.remove_link(2, 3);
-  EXPECT_FALSE(dag.has_link(2, 3));  // pre-snapshot query (sorted link set)
+  EXPECT_FALSE(dag.has_link(2, 3));  // query before the next stabilize()
   dag.stabilize();
   EXPECT_TRUE(dag.routable(2));
   EXPECT_FALSE(dag.routable(3));
@@ -143,14 +145,15 @@ TEST(DynamicHeightsTest, QueriesBetweenChurnEventsShareOneSnapshot) {
 }
 
 TEST(DynamicHeightsTest, SingleLinkChurnPatchesInsteadOfRebuilding) {
+  // Single-link churn edits the neighbour lists in place: every event
+  // that changes the link set counts as exactly one link edit, and the
+  // lists stay ascending through stabilize/route traffic in between.
   std::mt19937_64 rng(53);
   const Graph g = make_random_connected_graph(24, 28, rng);
   DynamicHeightsDag dag(g, 0);
-  EXPECT_EQ(dag.snapshot_rebuilds(), 1u);  // the constructor's initial build
+  EXPECT_EQ(dag.link_edits(), 0u);  // construction is not an edit
   dag.stabilize();
 
-  // 40 single-link events with stabilize/route traffic in between: the
-  // incremental-repair acceptance criterion — zero further rebuilds.
   std::uint64_t events = 0;
   for (int i = 0; i < 40; ++i) {
     const NodeId u = static_cast<NodeId>(rng() % 24);
@@ -164,65 +167,33 @@ TEST(DynamicHeightsTest, SingleLinkChurnPatchesInsteadOfRebuilding) {
     ++events;
     dag.stabilize();
     dag.route(u);
+    const auto slice = dag.neighbors(u);
+    EXPECT_TRUE(std::is_sorted(slice.begin(), slice.end()));
   }
-  EXPECT_EQ(dag.snapshot_rebuilds(), 1u);
-  EXPECT_EQ(dag.snapshot_patches(), events);
+  EXPECT_EQ(dag.link_edits(), events);
+  // Idempotent calls change nothing and are not edits.
+  dag.add_link(0, 1);
+  const std::uint64_t edits = dag.link_edits();
+  dag.add_link(0, 1);
+  dag.remove_link(0, 1);
+  dag.remove_link(0, 1);
+  EXPECT_EQ(dag.link_edits(), edits + 1);
 }
 
-TEST(DynamicHeightsTest, PatchedAndRebuiltSnapshotsBehaveIdentically) {
-  // Two DAGs, identical event streams; `control` has its snapshot
-  // invalidated before every query round, forcing the historical
-  // full-rebuild path.  Heights, stabilization work, and routes must agree
-  // after every event — the behavioral half of the patched == rebuilt
-  // contract (tests/csr_test.cpp pins the byte-level half).
-  std::mt19937_64 rng(59);
-  const Graph g = make_random_connected_graph(20, 24, rng);
-  DynamicHeightsDag patched(g, 2);
-  DynamicHeightsDag control(g, 2);
-  patched.stabilize();
-  control.stabilize();
-  for (int i = 0; i < 30; ++i) {
-    const NodeId u = static_cast<NodeId>(rng() % 20);
-    NodeId v = static_cast<NodeId>(rng() % 20);
-    if (u == v) v = (v + 1) % 20;
-    if (patched.has_link(u, v)) {
-      patched.remove_link(u, v);
-      control.remove_link(u, v);
-    } else {
-      patched.add_link(u, v);
-      control.add_link(u, v);
-    }
-    control.invalidate_snapshot();
-    ASSERT_EQ(patched.stabilize(), control.stabilize()) << "event " << i;
-    for (NodeId w = 0; w < 20; ++w) {
-      ASSERT_EQ(patched.height(w), control.height(w)) << "event " << i << " node " << w;
-      ASSERT_EQ(patched.is_sink(w), control.is_sink(w)) << "event " << i << " node " << w;
-      ASSERT_EQ(patched.route(w), control.route(w)) << "event " << i << " node " << w;
-    }
-  }
-  EXPECT_EQ(patched.snapshot_rebuilds(), 1u);
-  EXPECT_GT(control.snapshot_rebuilds(), 1u);
-}
-
-TEST(DynamicHeightsTest, BatchChurnFallsBackToOneRebuild) {
+TEST(DynamicHeightsTest, EventSequenceKeepsLinksAndRoutes) {
   DynamicHeightsDag dag(make_chain_graph(8), 0);
   dag.stabilize();
-  EXPECT_EQ(dag.snapshot_rebuilds(), 1u);
-
-  // A small batch stays on the patch path...
-  const LinkEvent small_batch[] = {{0, 2, true}, {0, 3, true}};
-  dag.apply_events(small_batch);
-  EXPECT_EQ(dag.snapshot_rebuilds(), 1u);
-  EXPECT_EQ(dag.snapshot_patches(), 2u);
+  const LinkEvent events[] = {{0, 2, true}, {0, 3, true}, {0, 4, true}, {0, 5, true},
+                              {1, 3, true}, {1, 4, true}, {2, 4, true}, {0, 2, false}};
+  for (const LinkEvent& event : events) {
+    if (event.up) {
+      dag.add_link(event.u, event.v);
+    } else {
+      dag.remove_link(event.u, event.v);
+    }
+  }
+  EXPECT_EQ(dag.link_edits(), 8u);
   dag.stabilize();
-
-  // ...a large one invalidates once and rebuilds once, patching nothing.
-  const LinkEvent large_batch[] = {{0, 4, true}, {0, 5, true}, {1, 3, true},
-                                   {1, 4, true}, {2, 4, true}, {0, 2, false}};
-  dag.apply_events(large_batch);
-  EXPECT_EQ(dag.snapshot_patches(), 2u);
-  dag.stabilize();
-  EXPECT_EQ(dag.snapshot_rebuilds(), 2u);
   EXPECT_TRUE(dag.has_link(2, 4));
   EXPECT_FALSE(dag.has_link(0, 2));
   for (NodeId u = 1; u < 8; ++u) {
@@ -313,9 +284,8 @@ TEST(ToraTest, BufferedPacketsStayParkedWhileStillPartitioned) {
 }
 
 TEST(ToraTest, ChurnMaintenanceIsRebuildFree) {
-  // The service's maintenance loop is all single-link events, so a whole
-  // churn-heavy run must ride the incremental snapshot-repair path: one
-  // build at construction, a patch per event, zero rebuilds.
+  // The service's maintenance loop is all single-link events, each one
+  // in-place link edit of the DAG; packets keep being routed throughout.
   std::mt19937_64 rng(61);
   const Graph g = make_random_connected_graph(32, 40, rng);
   ToraRouter router(g, 0);
@@ -331,8 +301,7 @@ TEST(ToraTest, ChurnMaintenanceIsRebuildFree) {
     }
     router.send_packet(static_cast<NodeId>(rng() % 32));
   }
-  EXPECT_EQ(router.dag().snapshot_rebuilds(), 1u);
-  EXPECT_EQ(router.dag().snapshot_patches(), 50u);
+  EXPECT_EQ(router.dag().link_edits(), 50u);
 }
 
 TEST(ToraTest, PacketAccountingConsistentUnderChurn) {
